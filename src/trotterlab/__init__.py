@@ -13,9 +13,8 @@ from .bounds import (BoundInputs, BoundReport, CERTIFIED_MAX_STEPS,
                      projected_commutator_bound, trotter_count_formula,
                      unrestricted_commutator_bound, weakly_correlated_number)
 from .embedding import embed_block
-from .errors import (ErrorLab, ErrorSample, excitation_tail_bound, full_error,
-                     leakage_norm, low_energy_expectation_sum,
-                     nested_commutator_sum, projected_error)
+from .errors import (ErrorLab, excitation_tail_bound, low_energy_expectation_sum,
+                     nested_commutator_sum)
 from .formulas import (FormulaPlan, MAX_ORDER, OrderFit, apply_plan, cycle_count,
                        order_check, plan_table, suzuki_plan, validate_plan)
 from .lattice import (DEFAULT_DIM_CAP, HamiltonianSpec, LatticeSpec, LocalTerm,
@@ -23,28 +22,27 @@ from .lattice import (DEFAULT_DIM_CAP, HamiltonianSpec, LatticeSpec, LocalTerm,
                       build_mg, extensiveness, greedy_partition,
                       long_range_extensiveness, shift_psd, spec_from_json,
                       spec_to_json, spin_matrices, spin_sector_projector, validate)
-from .operators import (DenseOperator, SpectralData, assemble, commutator,
-                        dump_operator, eigh, embed, evolve, load_operator,
-                        low_energy_projector, spectral_norm)
+from .operators import (assemble, embed, evolve, low_energy_projector,
+                        spectral_norm)
 from .verify import CheckResult, results_to_csv, run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundInputs", "BoundReport", "CERTIFIED_MAX_STEPS", "CheckResult",
-    "DEFAULT_DIM_CAP", "DenseOperator", "ErrorLab", "ErrorSample",
+    "DEFAULT_DIM_CAP", "ErrorLab",
     "FORMULA_COMMUTATOR", "FORMULA_CONST_GAMMA", "FORMULA_COUNT_CONST",
     "FORMULA_COUNT_GENERAL", "FORMULA_GENERIC", "FORMULA_WEAKLY_CORRELATED",
     "FormulaPlan", "HamiltonianSpec", "LatticeSpec", "LocalTerm", "MAX_ORDER",
-    "OrderFit", "SpectralData", "ValidationReport", "apply_plan", "assemble",
+    "OrderFit", "ValidationReport", "apply_plan", "assemble",
     "build_aklt", "build_long_range_heisenberg", "build_mg",
-    "trotter_number_certified", "commutator", "const_gamma_error_bound",
-    "cycle_count", "dump_operator", "eigh", "embed", "embed_block", "evolve",
-    "excitation_tail_bound", "extensiveness", "full_error",
-    "generic_error_bound", "greedy_partition", "leakage_norm", "load_operator",
+    "trotter_number_certified", "const_gamma_error_bound",
+    "cycle_count", "embed", "embed_block", "evolve",
+    "excitation_tail_bound", "extensiveness",
+    "generic_error_bound", "greedy_partition",
     "long_range_extensiveness", "low_energy_expectation_sum",
     "low_energy_projector", "nested_commutator_sum", "order_check",
-    "plan_table", "projected_commutator_bound", "projected_error",
+    "plan_table", "projected_commutator_bound",
     "results_to_csv", "run_verify", "shift_psd", "spec_from_json",
     "spec_to_json", "spectral_norm", "spin_matrices", "spin_sector_projector",
     "suzuki_plan", "trotter_count_formula", "unrestricted_commutator_bound",

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from .errors import ErrorLab
 from .formulas import FormulaPlan, cycle_count
-from .lattice import HamiltonianSpec
 
 FORMULA_CONST_GAMMA = "cor_s4"
 FORMULA_GENERIC = "thm_s3"
@@ -63,12 +62,14 @@ class BoundInputs:
     eps_total: float
     eps_small: float
     cycles: int | None = None
-    decay_exponent: float | None = None
-    spatial_dim: int = 1
     concentration_c: float = 1.0
     energy_expectation: float | None = None
 
     def __post_init__(self) -> None:
+        reals = (self.extensiveness, self.delta, self.time, self.eps_total,
+                 self.eps_small, self.concentration_c, self.energy_expectation)
+        if not all(math.isfinite(x) for x in reals if x is not None):
+            raise ValueError("scalar inputs must be finite")
         if self.num_sites < 2 or self.locality < 1 or self.gamma_count < 1:
             raise ValueError("need N >= 2, k >= 1, Gamma >= 1")
         if self.extensiveness <= 0:
@@ -173,7 +174,7 @@ def trotter_count_formula(inputs: BoundInputs, regime: str = "const_gamma") -> i
                         inputs.eps_total, inputs.order_p, inputs.num_sites, regime)
 
 
-def trotter_number_certified(spec: HamiltonianSpec, plan: FormulaPlan, t: float,
+def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
                             delta: float, eps_total: float,
                             max_steps: int = CERTIFIED_MAX_STEPS) -> int:
     """Smallest step count r with r * error(t/r) <= eps on the delta subspace.
@@ -186,7 +187,6 @@ def trotter_number_certified(spec: HamiltonianSpec, plan: FormulaPlan, t: float,
         raise ValueError("eps_total must be positive")
     if eps_total >= 2:
         return 1
-    lab = ErrorLab(spec)
 
     def passes(steps: int) -> bool:
         return steps * lab.projected_error(plan, t / steps, delta) <= eps_total

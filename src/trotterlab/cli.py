@@ -13,6 +13,7 @@ import io
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 
 from .bounds import (BoundInputs, FORMULA_COMMUTATOR, FORMULA_COUNT_CONST,
@@ -20,11 +21,10 @@ from .bounds import (BoundInputs, FORMULA_COMMUTATOR, FORMULA_COUNT_CONST,
                      const_gamma_error_bound, generic_error_bound,
                      projected_commutator_bound, trotter_count_formula,
                      weakly_correlated_number)
-from .errors import ErrorLab, ErrorSample
+from .errors import ErrorLab
 from .formulas import suzuki_plan
 from .lattice import (DEFAULT_DIM_CAP, build_aklt, build_long_range_heisenberg,
                       build_mg, extensiveness, spec_to_json)
-from .operators import spectral_norm
 from .verify import results_to_csv, run_verify
 
 CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_value",
@@ -53,7 +53,6 @@ class SweepConfig:
     t_list: tuple[float, ...]
     delta_list: tuple[float, ...]
     bounds: bool = False
-    seed: int = 0
     output_path: str | None = None
     eps_small: float = 0.01
     workers: int = 1
@@ -62,7 +61,7 @@ class SweepConfig:
     j0: float = 1.0
 
 
-_CONFIG_KEYS = ("model", "n", "p", "t", "delta", "bounds", "seed", "out",
+_CONFIG_KEYS = ("model", "n", "p", "t", "delta", "bounds", "out",
                 "eps_small", "workers", "cap", "nu", "j0")
 _REQUIRED_KEYS = ("model", "n", "p", "t", "delta")
 
@@ -79,12 +78,6 @@ def _parse_list(key: str, text: str, kind) -> tuple:
     if any(not piece for piece in items):
         raise ConfigError(f"key {key!r}: empty list entry in {text!r}")
     return tuple(_parse_scalar(key, piece, kind) for piece in items)
-
-
-def _parse_delta(key: str, text: str) -> float:
-    if text.lower() == "inf":
-        return math.inf
-    return float(_parse_scalar(key, text, float))
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -116,10 +109,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         n_list=_parse_list("n", values["n"], int),
         p_list=_parse_list("p", values["p"], int),
         t_list=_parse_list("t", values["t"], float),
-        delta_list=tuple(_parse_delta("delta", piece.strip())
-                         for piece in values["delta"].split(",")),
+        delta_list=_parse_list("delta", values["delta"], float),
         bounds=bounds_text == "true",
-        seed=int(_parse_scalar("seed", values.get("seed", "0"), int)),
         output_path=values.get("out"),
         eps_small=float(_parse_scalar("eps_small", values.get("eps_small", "0.01"), float)),
         workers=int(_parse_scalar("workers", values.get("workers", "1"), int)),
@@ -146,20 +137,18 @@ def validate_sweep_config(config: SweepConfig) -> None:
                               f"{dim}, above the cap {config.cap}")
     if not config.p_list or any(p not in _ORDERS for p in config.p_list):
         raise ConfigError(f"key 'p': orders must be among {_ORDERS}")
-    if not config.t_list or any(t < 0 for t in config.t_list):
-        raise ConfigError("key 't': need a nonempty list of nonnegative times")
-    if not config.delta_list:
-        raise ConfigError("key 'delta': empty list")
+    if not config.t_list or not all(0 <= t < math.inf for t in config.t_list):
+        raise ConfigError("key 't': need a nonempty list of finite nonnegative times")
+    if not config.delta_list or not all(d >= 0 for d in config.delta_list):
+        raise ConfigError("key 'delta': need a nonempty list of cutoffs >= 0 or inf")
     if not 0 < config.eps_small < 1:
         raise ConfigError("key 'eps_small': must lie in (0, 1)")
     if config.workers < 1:
         raise ConfigError("key 'workers': must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("key 'seed': must be nonnegative")
     if config.cap < 4:
         raise ConfigError("key 'cap': must be at least 4")
-    if config.nu < 0 or config.j0 <= 0:
-        raise ConfigError("keys 'nu'/'j0': need nu >= 0 and j0 > 0")
+    if not (0 <= config.nu < math.inf and 0 < config.j0 < math.inf):
+        raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
 
 
 def _build_model(model: str, n: int, cap: int, nu: float, j0: float):
@@ -185,18 +174,12 @@ def _task_rows(config: SweepConfig, n: int) -> list[dict]:
     for p in config.p_list:
         plan = suzuki_plan(p, gamma)
         for t in config.t_list:
-            diff = lab.difference(plan, t)
-            for delta in config.delta_list:
-                if math.isinf(delta):
-                    kind, value = "full", spectral_norm(diff)
-                else:
-                    kind = "projected"
-                    value = spectral_norm(diff @ lab.low_column_basis(delta))
-                sample = ErrorSample(config.model, n, p, gamma, t,
-                                     None if math.isinf(delta) else delta, value, kind)
+            values = lab.errors(plan, t, config.delta_list)
+            for delta, value in zip(config.delta_list, values):
                 row = _empty_row()
                 row.update(model=config.model, N=n, p=p, Gamma=gamma, t=t, delta=delta,
-                           error_kind=sample.error_kind, error_value=sample.error_value)
+                           error_kind="full" if math.isinf(delta) else "projected",
+                           error_value=value)
                 if config.bounds and not math.isinf(delta) and 0 <= delta <= energy_cap:
                     inputs = BoundInputs(n, k, g, gamma, p, delta, t,
                                          eps_total=config.eps_small,
@@ -243,14 +226,19 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    """Write via a unique temp file in the target directory, then rename."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 
@@ -355,8 +343,6 @@ def _cmd_sweep(args) -> int:
         overrides["output_path"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.cap is not None:
         overrides["cap"] = args.cap
     if overrides:
@@ -425,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("config", help="flat key = value config file")
     sweep.add_argument("--out", help="output CSV path (overrides the config)")
     sweep.add_argument("--workers", type=int, help="parallel workers over chain sizes")
-    sweep.add_argument("--seed", type=int, help="seed recorded with the sweep")
     sweep.add_argument("--cap", type=int, help="Hilbert dimension cap")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -8,59 +8,41 @@ over (p, t, delta) only pay for stage products and norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import eigh
 
 from .formulas import FormulaPlan, apply_plan
 from .lattice import HamiltonianSpec, extensiveness
-from .operators import (DenseOperator, _matrix_norm, assemble, eigh, embed,
-                        evolve, low_energy_mask, low_energy_projector)
+from .operators import (_matrix_norm, assemble, embed, evolve, low_energy_mask,
+                        low_energy_projector)
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class ErrorSample:
-    """One measured error point of a sweep."""
-
-    model_tag: str
-    num_sites: int
-    order_p: int
-    gamma_count: int
-    time: float
-    delta: float | None
-    error_value: float
-    error_kind: str
-
-    def __post_init__(self) -> None:
-        if self.error_kind not in ("full", "projected"):
-            raise ValueError(f"unknown error kind {self.error_kind!r}")
-        if self.error_value < 0 or self.error_value > 2 + 1e-9:
-            raise ValueError(f"error {self.error_value} outside [0, 2]")
-        if self.error_kind == "projected" and self.delta is None:
-            raise ValueError("projected samples need a delta")
-
-
 class ErrorLab:
-    """Spectra cache plus error evaluators for one Hamiltonian spec."""
+    """Spectra cache plus error evaluators for one Hamiltonian spec.
+
+    Keeps H and the ``eigh`` results of H and of each group's partial
+    Hamiltonian; the partial Hamiltonians themselves are dropped.
+    """
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self.hamiltonian, self.parts = assemble(spec)
+        self.hamiltonian, parts = assemble(spec)
         self.spectrum = eigh(self.hamiltonian)
-        self.part_spectra = tuple(eigh(p) for p in self.parts)
+        self.part_spectra = tuple(eigh(p) for p in parts)
 
     @property
     def max_energy(self) -> float:
         return float(self.spectrum.eigenvalues[-1])
 
     def exact_propagator(self, t: float) -> np.ndarray:
-        return evolve(self.spectrum, t).entries
+        return evolve(self.spectrum, t)
 
     def trotter_propagator(self, plan: FormulaPlan, t: float) -> np.ndarray:
-        return apply_plan(plan, self.part_spectra, t).entries
+        return apply_plan(plan, self.part_spectra, t)
 
     def difference(self, plan: FormulaPlan, t: float) -> np.ndarray:
         return self.exact_propagator(t) - self.trotter_propagator(plan, t)
@@ -70,16 +52,26 @@ class ErrorLab:
         mask = low_energy_mask(self.spectrum.eigenvalues, delta)
         return self.spectrum.eigenvectors[:, mask]
 
-    def projector(self, delta: float) -> DenseOperator:
+    def projector(self, delta: float) -> np.ndarray:
         return low_energy_projector(self.spectrum, delta)
 
+    def _restricted_norm(self, op: np.ndarray, delta: float | None) -> float:
+        """Norm of op on the energy-delta subspace; None or inf means the full norm."""
+        if delta is None or math.isinf(delta):
+            return _matrix_norm(op)
+        return _matrix_norm(op @ self.low_column_basis(delta))
+
+    def errors(self, plan: FormulaPlan, t: float,
+               deltas: list[float] | tuple[float, ...]) -> list[float]:
+        """Error norms of one propagator difference, one per cutoff (inf: full)."""
+        diff = self.difference(plan, t)
+        return [self._restricted_norm(diff, delta) for delta in deltas]
+
     def full_error(self, plan: FormulaPlan, t: float) -> float:
-        return _matrix_norm(self.difference(plan, t))
+        return self.errors(plan, t, (math.inf,))[0]
 
     def projected_error(self, plan: FormulaPlan, t: float, delta: float | None) -> float:
-        if delta is None or math.isinf(delta):
-            return self.full_error(plan, t)
-        return _matrix_norm(self.difference(plan, t) @ self.low_column_basis(delta))
+        return self.errors(plan, t, (delta,))[0]
 
     def stepped_error(self, plan: FormulaPlan, t: float, steps: int,
                       delta: float | None = None) -> float:
@@ -87,27 +79,18 @@ class ErrorLab:
         if steps < 1:
             raise ValueError("need at least one step")
         stepped = np.linalg.matrix_power(self.trotter_propagator(plan, t / steps), steps)
-        diff = self.exact_propagator(t) - stepped
-        if delta is None or math.isinf(delta):
-            return _matrix_norm(diff)
-        return _matrix_norm(diff @ self.low_column_basis(delta))
+        return self._restricted_norm(self.exact_propagator(t) - stepped, delta)
 
-    def leakage_norm(self, op: DenseOperator, delta: float, delta_prime: float) -> float:
+    def leakage_norm(self, op: np.ndarray, delta: float, delta_prime: float) -> float:
         """Norm of P_above(delta_prime) O P_below(delta)."""
         if delta_prime <= delta:
             raise ValueError("delta_prime must exceed delta")
-        if op.dim != self.spectrum.dim:
+        if op.shape != self.hamiltonian.shape:
             raise ValueError("operator dimension does not match the lab")
         high_mask = ~low_energy_mask(self.spectrum.eigenvalues, delta_prime)
         high = self.spectrum.eigenvectors[:, high_mask]
         low = self.low_column_basis(delta)
-        return _matrix_norm(high.conj().T @ op.entries @ low)
-
-    def tail_weight(self, psi: np.ndarray, threshold: float) -> float:
-        """Weight of psi above the energy threshold."""
-        overlaps = self.spectrum.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
-        above = ~low_energy_mask(self.spectrum.eigenvalues, threshold)
-        return float(np.sum(np.abs(overlaps[above]) ** 2))
+        return _matrix_norm(high.conj().T @ op @ low)
 
     def random_subspace_state(self, delta: float, rng: np.random.Generator) -> np.ndarray:
         """Haar-ish random unit state inside the low-energy subspace."""
@@ -117,21 +100,6 @@ class ErrorLab:
         coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
         psi = basis @ coeff
         return psi / np.linalg.norm(psi)
-
-
-def full_error(spec: HamiltonianSpec, plan: FormulaPlan, t: float) -> float:
-    """One-shot unrestricted error; build an ErrorLab for sweeps."""
-    return ErrorLab(spec).full_error(plan, t)
-
-
-def projected_error(spec: HamiltonianSpec, plan: FormulaPlan, t: float,
-                    delta: float | None) -> float:
-    return ErrorLab(spec).projected_error(plan, t, delta)
-
-
-def leakage_norm(spec: HamiltonianSpec, op: DenseOperator, delta: float,
-                 delta_prime: float) -> float:
-    return ErrorLab(spec).leakage_norm(op, delta, delta_prime)
 
 
 def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
@@ -172,7 +140,7 @@ def _tuple_walk(embedded: list[np.ndarray], supports: list[set[int]], depth: int
 
 
 def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
-                          projector: DenseOperator | None = None) -> float:
+                          projector: np.ndarray | None = None) -> float:
     """Sum over term tuples of the nested-commutator norm, optionally projected.
 
     With a projector P the summand is ||P [h_q, ..., [h_1, h_0]] P||; depth
@@ -180,26 +148,24 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
     """
     if not 1 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_COMMUTATOR_DEPTH}, got {depth}")
-    embedded = [embed(term, spec.lattice).entries for term in spec.terms]
+    dim = spec.lattice.hilbert_dim
+    if projector is not None and projector.shape != (dim, dim):
+        raise ValueError("projector dimension does not match the spec")
+    embedded = [embed(term, spec.lattice) for term in spec.terms]
     supports = [set(term.support) for term in spec.terms]
-    proj = None
-    if projector is not None:
-        if projector.dim != spec.lattice.hilbert_dim:
-            raise ValueError("projector dimension does not match the spec")
-        proj = projector.entries
     total = 0.0
 
     def leaf(matrix: np.ndarray) -> None:
         nonlocal total
-        if proj is not None:
-            matrix = proj @ matrix @ proj
+        if projector is not None:
+            matrix = projector @ matrix @ projector
         total += _matrix_norm(matrix)
 
     _tuple_walk(embedded, supports, depth, leaf)
     return total
 
 
-def low_energy_expectation_sum(spec: HamiltonianSpec, depth: int, psi: np.ndarray,
+def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
                                delta: float) -> tuple[float, float]:
     """Summed absolute expectations of nested commutators in a low-energy state.
 
@@ -209,18 +175,17 @@ def low_energy_expectation_sum(spec: HamiltonianSpec, depth: int, psi: np.ndarra
     """
     if not 0 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 0..{MAX_COMMUTATOR_DEPTH}, got {depth}")
+    spec = lab.spec
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != spec.lattice.hilbert_dim:
         raise ValueError("state dimension does not match the spec")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("state must be normalized")
-    hamiltonian, _ = assemble(spec)
-    spectrum = eigh(hamiltonian)
-    low = spectrum.eigenvectors[:, low_energy_mask(spectrum.eigenvalues, delta)]
+    low = lab.low_column_basis(delta)
     residual = psi - low @ (low.conj().T @ psi)
     if np.linalg.norm(residual) > SUBSPACE_TOL:
         raise ValueError(f"state leaks out of the energy-{delta} subspace")
-    embedded = [embed(term, spec.lattice).entries for term in spec.terms]
+    embedded = [embed(term, spec.lattice) for term in spec.terms]
     supports = [set(term.support) for term in spec.terms]
     total = 0.0
 

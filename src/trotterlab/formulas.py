@@ -22,12 +22,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import HamiltonianSpec
-from .operators import (DenseOperator, SpectralData, assemble, eigh, evolve,
-                        spectral_norm)
+from .operators import evolve
+
+if TYPE_CHECKING:
+    from .errors import ErrorLab
 
 MAX_ORDER = 6
 COEFF_SUM_TOL = 1e-12
@@ -91,23 +93,22 @@ def validate_plan(plan: FormulaPlan) -> None:
             raise ValueError(f"group {gamma} coefficients sum to {total}, not 1")
 
 
-def apply_plan(plan: FormulaPlan, parts_spectra: list[SpectralData] | tuple[SpectralData, ...],
-               t: float) -> DenseOperator:
-    """Multiply out the stage exponentials built from the group spectra."""
+def apply_plan(plan: FormulaPlan, parts_spectra, t: float) -> np.ndarray:
+    """Multiply out the stage exponentials built from the group ``eigh`` results."""
     if len(parts_spectra) != plan.gamma_count:
         raise ValueError(
             f"plan wants {plan.gamma_count} group spectra, got {len(parts_spectra)}")
-    dim = parts_spectra[0].dim
-    if any(sd.dim != dim for sd in parts_spectra):
+    dim = parts_spectra[0].eigenvalues.size
+    if any(sd.eigenvalues.size != dim for sd in parts_spectra):
         raise ValueError("group spectra have inconsistent dimensions")
     product = np.eye(dim, dtype=complex)
     stage_cache: dict[tuple[int, float], np.ndarray] = {}
     for gamma, alpha in plan.stages:
         key = (gamma, alpha)
         if key not in stage_cache:
-            stage_cache[key] = evolve(parts_spectra[gamma - 1], alpha * t).entries
+            stage_cache[key] = evolve(parts_spectra[gamma - 1], alpha * t)
         product = stage_cache[key] @ product
-    return DenseOperator(dim, product, label=f"T{plan.order_p}({t})")
+    return product
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class OrderFit:
     errors: tuple[float, ...]
 
 
-def order_check(plan: FormulaPlan, spec: HamiltonianSpec,
+def order_check(plan: FormulaPlan, lab: ErrorLab,
                 t_grid: list[float] | tuple[float, ...]) -> OrderFit:
     """Fit the error-vs-time slope; a plan of order p should give p + 1.
 
@@ -132,14 +133,7 @@ def order_check(plan: FormulaPlan, spec: HamiltonianSpec,
         raise ValueError("need at least 4 grid times")
     if any(t <= 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("grid times must be positive and strictly increasing")
-    hamiltonian, parts = assemble(spec)
-    spectrum = eigh(hamiltonian)
-    part_spectra = [eigh(p) for p in parts]
-    errors = []
-    for t in t_grid:
-        exact = evolve(spectrum, t).entries
-        approx = apply_plan(plan, part_spectra, t).entries
-        errors.append(spectral_norm(exact - approx))
+    errors = [lab.full_error(plan, t) for t in t_grid]
     if max(errors) <= EXACT_ERROR_FLOOR:
         return OrderFit(None, None, True, tuple(errors))
     log_t = np.log(t_grid)

@@ -67,7 +67,6 @@ class LatticeSpec:
 
     num_sites: int
     local_dim: int
-    geometry: str = "open_chain"
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class LatticeSpec:
             raise ValueError(f"need at least 2 sites, got {self.num_sites}")
         if self.local_dim < 2:
             raise ValueError(f"need local_dim >= 2, got {self.local_dim}")
-        if self.geometry != "open_chain":
-            raise ValueError(f"unsupported geometry {self.geometry!r}")
         if self.hilbert_dim > self.dim_cap:
             raise ValueError(
                 f"Hilbert dimension {self.hilbert_dim} exceeds cap {self.dim_cap}")
@@ -163,9 +160,6 @@ class HamiltonianSpec:
     @property
     def gamma_count(self) -> int:
         return len(set(self.partition))
-
-    def group_terms(self, gamma: int) -> list[LocalTerm]:
-        return [t for t, g in zip(self.terms, self.partition) if g == gamma]
 
 
 def _total_spin_squared(n_sites: int, local_dim: int) -> np.ndarray:

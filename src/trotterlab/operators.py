@@ -1,109 +1,43 @@
-"""Dense operator engine: embedding, spectra, propagators, projectors.
+"""Dense operator engine: embedding, assembly, propagators, projectors, norms.
 
-Everything is dense complex128.  Spectral norms come from the Hermitian
+Every operator is a dense complex128 ndarray, and every spectrum is the
+result of ``np.linalg.eigh`` (ascending ``eigenvalues``, orthonormal
+``eigenvectors`` columns).  Spectral norms come from the Hermitian
 eigendecomposition of A^dag A; propagators from the eigendecomposition of
 the (Hermitian) generator, reused across times.
 """
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import embed_block
 from .lattice import HamiltonianSpec, LatticeSpec, LocalTerm
 
-HERMITIAN_HINT_TOL = 1e-12
 SPECTRAL_TIE_TOL = 1e-12
 
-DUMP_MAGIC = b"TROT"
-DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<4sIQ")
 
-
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """Immutable dense matrix with a Hermiticity hint and a debug label."""
-
-    dim: int
-    entries: np.ndarray
-    hermitian_hint: bool = False
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex, order="C")
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape {(self.dim, self.dim)}, got {entries.shape}")
-        if self.hermitian_hint and entries.size:
-            dev = np.abs(entries - entries.conj().T).max()
-            if dev > HERMITIAN_HINT_TOL * max(1.0, np.abs(entries).max()):
-                raise ValueError(f"hermitian_hint set but deviation is {dev:.3e}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.eigenvalues, dtype=float)
-        v = np.array(self.eigenvectors, dtype=complex, order="C")
-        if w.ndim != 1 or v.shape != (w.size, w.size):
-            raise ValueError("inconsistent spectral data shapes")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-def embed(term: LocalTerm, lattice: LatticeSpec) -> DenseOperator:
+def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
     """Embed a local term into the full chain (identity off support)."""
-    entries = embed_block(term.block, term.support, lattice.num_sites, lattice.local_dim)
-    return DenseOperator(lattice.hilbert_dim, entries, hermitian_hint=True,
-                         label=f"term@{term.support}")
+    return embed_block(term.block, term.support, lattice.num_sites, lattice.local_dim)
 
 
-def assemble(spec: HamiltonianSpec) -> tuple[DenseOperator, list[DenseOperator]]:
+def assemble(spec: HamiltonianSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum of all embedded terms plus the per-group partial Hamiltonians."""
     dim = spec.lattice.hilbert_dim
     total = np.zeros((dim, dim), dtype=complex)
     partials = [np.zeros((dim, dim), dtype=complex) for _ in range(spec.gamma_count)]
     for term, gamma in zip(spec.terms, spec.partition):
-        emb = embed(term, spec.lattice).entries
+        emb = embed(term, spec.lattice)
         total += emb
         partials[gamma - 1] += emb
-    hamiltonian = DenseOperator(dim, total, hermitian_hint=True, label=f"H[{spec.model_tag}]")
-    parts = [DenseOperator(dim, part, hermitian_hint=True,
-                           label=f"H[{spec.model_tag}] group {g + 1}")
-             for g, part in enumerate(partials)]
-    return hamiltonian, parts
+    return total, partials
 
 
-def eigh(op: DenseOperator) -> SpectralData:
-    """Eigendecompose a Hermitian operator (the hint is required)."""
-    if not op.hermitian_hint:
-        raise ValueError(f"eigh needs a Hermitian operator, got {op.label!r} without hint")
-    w, v = np.linalg.eigh(op.entries)
-    return SpectralData(w, v)
-
-
-def evolve(spectral: SpectralData, t: float) -> DenseOperator:
-    """Unitary exp(-i t H) from the spectral decomposition of H."""
-    phases = np.exp(-1j * t * spectral.eigenvalues)
-    v = spectral.eigenvectors
-    entries = (v * phases) @ v.conj().T
-    return DenseOperator(spectral.dim, entries, label=f"exp(-i {t} H)")
+def evolve(spectrum, t: float) -> np.ndarray:
+    """Unitary exp(-i t H) from the ``eigh`` result of H."""
+    phases = np.exp(-1j * t * spectrum.eigenvalues)
+    v = spectrum.eigenvectors
+    return (v * phases) @ v.conj().T
 
 
 def _matrix_norm(a: np.ndarray) -> float:
@@ -114,10 +48,9 @@ def _matrix_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
-def spectral_norm(op: DenseOperator | np.ndarray) -> float:
+def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value, via the Hermitian eigendecomposition of A^dag A."""
-    a = op.entries if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
-    return _matrix_norm(a)
+    return _matrix_norm(np.asarray(a, dtype=complex))
 
 
 def low_energy_mask(eigenvalues: np.ndarray, delta: float) -> np.ndarray:
@@ -134,40 +67,7 @@ def low_energy_mask(eigenvalues: np.ndarray, delta: float) -> np.ndarray:
     return values <= delta + SPECTRAL_TIE_TOL * scale
 
 
-def low_energy_projector(spectral: SpectralData, delta: float) -> DenseOperator:
+def low_energy_projector(spectrum, delta: float) -> np.ndarray:
     """Projector onto eigenvectors with eigenvalue <= delta (ties included)."""
-    v = spectral.eigenvectors[:, low_energy_mask(spectral.eigenvalues, delta)]
-    entries = v @ v.conj().T
-    return DenseOperator(spectral.dim, entries, hermitian_hint=True,
-                         label=f"P[energy<={delta}]")
-
-
-def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
-    entries = a.entries @ b.entries - b.entries @ a.entries
-    return DenseOperator(a.dim, entries, label=f"[{a.label},{b.label}]")
-
-
-def dump_operator(op: DenseOperator, path: str) -> None:
-    """Write magic/version/dim header plus row-major little-endian complex doubles."""
-    with open(path, "wb") as handle:
-        handle.write(_DUMP_HEADER.pack(DUMP_MAGIC, DUMP_VERSION, op.dim))
-        handle.write(np.ascontiguousarray(op.entries).astype("<c16").tobytes())
-
-
-def load_operator(path: str) -> DenseOperator:
-    with open(path, "rb") as handle:
-        header = handle.read(_DUMP_HEADER.size)
-        if len(header) != _DUMP_HEADER.size:
-            raise ValueError("truncated dump header")
-        magic, version, dim = _DUMP_HEADER.unpack(header)
-        if magic != DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        payload = handle.read()
-    if len(payload) != 16 * dim * dim:
-        raise ValueError(f"payload size {len(payload)} does not match dim {dim}")
-    entries = np.frombuffer(payload, dtype="<c16").astype(complex).reshape(dim, dim)
-    return DenseOperator(dim, entries, label=f"loaded:{path}")
+    v = spectrum.eigenvectors[:, low_energy_mask(spectrum.eigenvalues, delta)]
+    return v @ v.conj().T

@@ -91,7 +91,7 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
     worst = 0.0
     for spec in specs:
         hamiltonian, parts = assemble(spec)
-        resid = hamiltonian.entries - sum(p.entries for p in parts)
+        resid = hamiltonian - sum(parts)
         worst = max(worst, float(np.abs(resid).max()))
     out.append(CheckResult("ham-partition-sum", worst <= 1e-12, worst, 1e-12))
 
@@ -99,7 +99,7 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
     for spec in specs:
         if spec.model_tag in ("aklt", "mg"):
             hamiltonian, _ = assemble(spec)
-            worst = max(worst, abs(float(np.linalg.eigvalsh(hamiltonian.entries)[0])))
+            worst = max(worst, abs(float(np.linalg.eigvalsh(hamiltonian)[0])))
     out.append(CheckResult("ham-frustration-free", worst <= 1e-10, worst, 1e-10))
 
     base = build_aklt(4)
@@ -128,24 +128,24 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
 def _operator_checks(specs, labs) -> list[CheckResult]:
     out = []
     aklt4 = labs[("aklt", 4)]
-    eye = np.eye(aklt4.spectrum.dim)
+    eye = np.eye(aklt4.hamiltonian.shape[0])
 
     worst = 0.0
     for t in (0.1, 1.0):
         group = [aklt4.spectrum, *aklt4.part_spectra]
         for sd in group:
-            u = evolve(sd, t).entries
+            u = evolve(sd, t)
             worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
     out.append(CheckResult("op-evolve-unitary", worst <= 1e-9, worst, 1e-9))
 
     worst = 0.0
     for delta in (0.5, 1.0):
-        proj = low_energy_projector(aklt4.spectrum, delta).entries
+        proj = low_energy_projector(aklt4.spectrum, delta)
         worst = max(worst, float(np.abs(proj @ proj - proj).max()))
         worst = max(worst, float(np.abs(proj - proj.conj().T).max()))
     out.append(CheckResult("op-projector-idempotent", worst <= 1e-10, worst, 1e-10))
 
-    proj = low_energy_projector(aklt4.spectrum, 1.0).entries
+    proj = low_energy_projector(aklt4.spectrum, 1.0)
     u = aklt4.exact_propagator(0.7)
     comm = float(spectral_norm(u @ proj - proj @ u))
     out.append(CheckResult("op-projector-commutes", comm <= 1e-9, comm, 1e-9))
@@ -161,7 +161,7 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
     resid = 0.0
     for spec in specs:
         lab = labs[(spec.model_tag, spec.lattice.num_sites)]
-        h = lab.hamiltonian.entries
+        h = lab.hamiltonian
         eig_norm = float(np.abs(lab.spectrum.eigenvalues).max())
         dev = max(dev, abs(spectral_norm(h) - eig_norm))
         v, w = lab.spectrum.eigenvectors, lab.spectrum.eigenvalues
@@ -189,7 +189,7 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     out.append(CheckResult("pf-coefficient-magnitudes", worst_mag <= 1.0, worst_mag, 1.0))
 
     aklt3 = lab_for("aklt", 3)
-    eye = np.eye(aklt3.spectrum.dim)
+    eye = np.eye(aklt3.hamiltonian.shape[0])
     worst = 0.0
     for p in (1, 2, 4):
         plan = suzuki_plan(p, aklt3.spec.gamma_count)
@@ -200,9 +200,9 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     grid = list(np.geomspace(1e-3, 1e-2, 5))
     worst = 0.0
     for model, n in (("aklt", 4), ("mg", 4), ("lr_heisenberg", LR_SIZE)):
-        spec = lab_for(model, n).spec
+        lab = lab_for(model, n)
         for p in (1, 2):
-            fit = order_check(suzuki_plan(p, spec.gamma_count), spec, grid)
+            fit = order_check(suzuki_plan(p, lab.spec.gamma_count), lab, grid)
             worst = max(worst, abs(fit.slope - (p + 1)))
     out.append(CheckResult("pf-order-slope", worst <= 0.2, worst, 0.2))
 
@@ -214,7 +214,7 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     gamma, alpha = tampered_stages[0]
     tampered_stages[0] = (gamma, -alpha)
     tampered = FormulaPlan(2, 2, tuple(tampered_stages), reference.cycles)
-    fit = order_check(tampered, lab_for("aklt", 4).spec, grid)
+    fit = order_check(tampered, lab_for("aklt", 4), grid)
     detected = fit.exact is False and abs(fit.slope - 3.0) > 0.2
     out.append(CheckResult("pf-mutation-detected", detected, fit.slope, 3.0))
     return out
@@ -271,7 +271,7 @@ def _error_checks(lab_for, rng) -> list[CheckResult]:
     for depth in (1, 2):
         for _ in range(3):
             psi = aklt4.random_subspace_state(1.0, rng)
-            value, bound = low_energy_expectation_sum(aklt4.spec, depth, psi, 1.0)
+            value, bound = low_energy_expectation_sum(aklt4, depth, psi, 1.0)
             worst_ratio = max(worst_ratio, value / bound)
     out.append(CheckResult("err-expectation-bound", worst_ratio < 1.0, worst_ratio, 1.0))
 
@@ -351,10 +351,9 @@ def _bound_checks(lab_for) -> list[CheckResult]:
                  and generic_error_bound(zero_time).bound_value == zero_time.eps_small)
     out.append(CheckResult("bound-degenerate-cases", counts_ok and eps_exact, None, None))
 
-    spec = lab_for("aklt", 4).spec
-    plan = suzuki_plan(2, spec.gamma_count)
-    steps = trotter_number_certified(spec, plan, 1.0, 1.0, 0.01)
     lab = lab_for("aklt", 4)
+    plan = suzuki_plan(2, lab.spec.gamma_count)
+    steps = trotter_number_certified(lab, plan, 1.0, 1.0, 0.01)
     direct = lab.stepped_error(plan, 1.0, steps, 1.0)
     out.append(CheckResult("bound-certified-direct", direct <= 0.01, direct, 0.01))
     return out

@@ -29,7 +29,7 @@ def test_criterion_01_order_slopes(lab_cache):
         lab = lab_cache(tag, n)
         for p in (1, 2):
             plan = tl.suzuki_plan(p, lab.spec.gamma_count)
-            fit = tl.order_check(plan, lab.spec, grid)
+            fit = tl.order_check(plan, lab, grid)
             ok = ok and not fit.exact and abs(fit.slope - (p + 1)) <= 0.2
             observed.append(f"{tag}{n} p={p}: {fit.slope:.3f}")
     _report("criterion 1 (order of accuracy)", ok, "; ".join(observed))
@@ -206,7 +206,7 @@ def test_criterion_08_certified_trotter_number(aklt4):
     notes = []
     for p in (1, 2):
         plan = tl.suzuki_plan(p, 2)
-        r = tl.trotter_number_certified(aklt4.spec, plan, 1.0, 1.0, 1e-3)
+        r = tl.trotter_number_certified(aklt4, plan, 1.0, 1.0, 1e-3)
         direct = aklt4.stepped_error(plan, 1.0, r, 1.0)
         ok = ok and direct <= 1e-3
         formula = tl.trotter_count_formula(
@@ -226,7 +226,7 @@ def test_criterion_09_degenerate_equivalences(aklt4):
     spec = tl.HamiltonianSpec(
         lattice, [tl.LocalTerm((0, 1), zz), tl.LocalTerm((1, 2), zz)],
         partition=(1, 2), locality_k=2)
-    commuting = tl.full_error(spec, tl.suzuki_plan(1, 2), 0.7)
+    commuting = tl.ErrorLab(spec).full_error(tl.suzuki_plan(1, 2), 0.7)
 
     plan = tl.suzuki_plan(2, 2)
     at_zero = aklt4.full_error(plan, 0.0)

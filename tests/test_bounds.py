@@ -184,7 +184,7 @@ def test_count_formula_vs_certified_search(aklt4):
     inputs = tl.BoundInputs(4, 2, g, 2, 1, 1.0, 1.0, 0.1, 0.01)
     formula = tl.trotter_count_formula(inputs, "const_gamma")
     plan = tl.suzuki_plan(1, 2)
-    certified = tl.trotter_number_certified(aklt4.spec, plan, 1.0, 1.0, 0.1)
+    certified = tl.trotter_number_certified(aklt4, plan, 1.0, 1.0, 0.1)
     assert 1 <= certified <= formula
     print(f"count formula/certified = {formula}/{certified} "
           f"= {formula / certified:.1f}")
@@ -199,23 +199,23 @@ def test_certified_commuting_single_step():
     terms = [tl.LocalTerm((0, 1), zz + np.eye(4)), tl.LocalTerm((1, 2), zz + np.eye(4))]
     spec = tl.HamiltonianSpec(lattice, terms, partition=(1, 2), locality_k=2)
     plan = tl.suzuki_plan(1, 2)
-    assert tl.trotter_number_certified(spec, plan, 1.7, 2.0, 0.01) == 1
+    assert tl.trotter_number_certified(tl.ErrorLab(spec), plan, 1.7, 2.0, 0.01) == 1
 
 
 def test_certified_degenerate_eps(aklt4):
     plan = tl.suzuki_plan(1, 2)
-    assert tl.trotter_number_certified(aklt4.spec, plan, 1.0, 1.0, 2.0) == 1
+    assert tl.trotter_number_certified(aklt4, plan, 1.0, 1.0, 2.0) == 1
 
 
 def test_certified_rejects_nonpositive_eps(aklt4):
     plan = tl.suzuki_plan(1, 2)
     with pytest.raises(ValueError, match="eps_total"):
-        tl.trotter_number_certified(aklt4.spec, plan, 1.0, 1.0, 0.0)
+        tl.trotter_number_certified(aklt4, plan, 1.0, 1.0, 0.0)
 
 
 def test_certified_minimal_and_directly_verified(aklt4):
     plan = tl.suzuki_plan(2, 2)
-    r = tl.trotter_number_certified(aklt4.spec, plan, 1.0, 1.0, 1e-3)
+    r = tl.trotter_number_certified(aklt4, plan, 1.0, 1.0, 1e-3)
     assert r == 8  # search margin ~16% below budget, step 7 ~10% above
     assert r * aklt4.projected_error(plan, 1.0 / r, 1.0) <= 1e-3
     assert (r - 1) * aklt4.projected_error(plan, 1.0 / (r - 1), 1.0) > 1e-3
@@ -226,7 +226,7 @@ def test_certified_minimal_and_directly_verified(aklt4):
 def test_certified_aborts_past_step_cap(mg4):
     plan = tl.suzuki_plan(1, 2)
     with pytest.raises(RuntimeError, match="no passing step count"):
-        tl.trotter_number_certified(mg4.spec, plan, 1.0, 2.0, 1e-9, max_steps=4)
+        tl.trotter_number_certified(mg4, plan, 1.0, 2.0, 1e-9, max_steps=4)
 
 
 # ---------------------------------------------- weakly correlated states
@@ -276,7 +276,7 @@ def test_product_state_tail_concentration(lab_cache):
     index = sum(d * 3 ** (n - 1 - i) for i, d in enumerate(digits))
     psi = np.zeros(3 ** n, dtype=complex)
     psi[index] = 1.0
-    energy = float(np.real(psi.conj() @ lab.hamiltonian.entries @ psi))
+    energy = float(np.real(psi.conj() @ lab.hamiltonian @ psi))
     assert energy == pytest.approx(5.0 / 6.0, rel=1e-12)
 
     weights = np.abs(lab.spectrum.eigenvectors.conj().T @ psi) ** 2

@@ -1,6 +1,7 @@
 """Config parsing, sweep/bounds CSV emission, exit codes, determinism."""
 import hashlib
 import math
+import os
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_parse_round_trip_defaults():
     assert config.n_list == (4,)
     assert config.t_list == (0.0, 0.1)
     assert math.isinf(config.delta_list[0])
-    assert config.bounds is False and config.seed == 0 and config.workers == 1
+    assert config.bounds is False and config.workers == 1
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -51,6 +52,14 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 2\np = 1\nt = 0.1\ndelta = 1", "at least 3 sites"),
     ("model = mg\nn = 4\np = 3\nt = 0.1\ndelta = 1", "orders must be among"),
     ("model = mg\nn = 4\np = 1\nt = -0.1\ndelta = 1", "nonnegative"),
+    ("model = mg\nn = 4\np = 1\nt = nan\ndelta = 1", "finite"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1, inf\ndelta = 1", "finite"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = nan", "cutoffs >= 0"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = -1", "cutoffs >= 0"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = nan", "(0, 1)"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nnu = nan", "finite nu"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nj0 = inf", "finite nu"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nseed = 3", "unknown key"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = 1.5", "(0, 1)"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "at least 1"),
     ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "above the cap"),
@@ -125,10 +134,17 @@ def test_sweep_bounds_skip_unrestricted_rows():
 
 def test_sweep_writes_atomically(tmp_path):
     out = tmp_path / "sweep.csv"
+    # another writer's fixed-name temp file must survive untouched
+    bystander = tmp_path / "sweep.csv.tmp"
+    bystander.write_text("not ours", encoding="utf-8")
     config = cli.parse_sweep_config(SMALL_CONFIG + f"out = {out}\n")
     text = cli.run_sweep(config)
     assert out.read_text(encoding="utf-8") == text
-    assert not (tmp_path / "sweep.csv.tmp").exists()
+    assert bystander.read_text(encoding="utf-8") == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.csv.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 # -------------------------------------------------------------- bounds
@@ -174,11 +190,15 @@ def test_bounds_rejects_bad_rows_with_diagnostics():
     text = (BOUNDS_HEADER + "\n"
             "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n"
             "16,2,-1.0,2,1,1.0,0.01,0.01,0.01\n"
+            "16,2,nan,2,1,1.0,0.01,0.01,0.01\n"
+            "16,2,2.0,2,1,1.0,inf,0.01,0.01\n"
             "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n")
     csv_text, diagnostics = cli.run_bounds(text)
-    assert len(diagnostics) == 1
+    assert len(diagnostics) == 3
     assert diagnostics[0].startswith("row 3: rejected")
     assert "positive" in diagnostics[0]
+    assert diagnostics[1].startswith("row 4: rejected") and "finite" in diagnostics[1]
+    assert diagnostics[2].startswith("row 5: rejected") and "finite" in diagnostics[2]
     # good rows still evaluated: 2 inputs x 5 families
     assert len(parse_rows(csv_text)) == 10
 
@@ -216,6 +236,9 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
     path = tmp_path / "grid.cfg"
     path.write_text("model = mg\nn = 4\np = 3\nt = 0.1\ndelta = 1", encoding="utf-8")
     assert cli.main(["sweep", str(path)]) == 2
+    path.write_text("model = mg\nn = 4\np = 1\nt = nan\ndelta = 1", encoding="utf-8")
+    assert cli.main(["sweep", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_main_usage_error_exits_two(capsys):

@@ -12,12 +12,11 @@ import pytest
 import scipy.linalg
 
 import trotterlab as tl
-from trotterlab.errors import ErrorSample
 
 
 def brute_commutator_sum(spec, depth, projector=None):
     # no pruning: every tuple, including identically-zero disjoint ones
-    embedded = [tl.embed(term, spec.lattice).entries for term in spec.terms]
+    embedded = [tl.embed(term, spec.lattice) for term in spec.terms]
     total = 0.0
     for tup in itertools.product(range(len(embedded)), repeat=depth + 1):
         mat = embedded[tup[0]]
@@ -35,10 +34,10 @@ def test_full_error_against_expm_oracle(lab_cache):
     h, parts = tl.assemble(spec)
     t = 0.3
     plan = tl.suzuki_plan(1, spec.gamma_count)
-    exact = scipy.linalg.expm(-1j * t * h.entries)
+    exact = scipy.linalg.expm(-1j * t * h)
     trotter = np.eye(spec.lattice.hilbert_dim, dtype=complex)
     for gamma, alpha in plan.stages:
-        trotter = scipy.linalg.expm(-1j * alpha * t * parts[gamma - 1].entries) @ trotter
+        trotter = scipy.linalg.expm(-1j * alpha * t * parts[gamma - 1]) @ trotter
     oracle = np.linalg.norm(exact - trotter, 2)
     assert lab.full_error(plan, t) == pytest.approx(oracle, abs=1e-12)
 
@@ -48,7 +47,7 @@ def test_projected_error_against_dense_projector(aklt4):
     t = 0.1
     diff = aklt4.difference(plan, t)
     for delta in (0.5, 1.0, 2.0):
-        dense = aklt4.projector(delta).entries
+        dense = aklt4.projector(delta)
         oracle = np.linalg.norm(diff @ dense, 2)
         assert aklt4.projected_error(plan, t, delta) == pytest.approx(oracle, abs=1e-11)
 
@@ -78,13 +77,15 @@ def test_projected_monotone_in_delta_and_below_full(aklt4):
         previous = value
 
 
-def test_module_level_wrappers(lab_cache):
-    spec = lab_cache("mg", 4).spec
-    plan = tl.suzuki_plan(1, spec.gamma_count)
+def test_errors_one_difference_per_cutoff_list(lab_cache):
     lab = lab_cache("mg", 4)
-    assert tl.full_error(spec, plan, 0.2) == pytest.approx(lab.full_error(plan, 0.2), abs=1e-13)
-    assert tl.projected_error(spec, plan, 0.2, 0.5) == pytest.approx(
-        lab.projected_error(plan, 0.2, 0.5), abs=1e-13)
+    plan = tl.suzuki_plan(1, lab.spec.gamma_count)
+    diff = lab.difference(plan, 0.2)
+    values = lab.errors(plan, 0.2, (math.inf, 0.5, 1.0))
+    assert values == [lab.full_error(plan, 0.2), lab.projected_error(plan, 0.2, 0.5),
+                      lab.projected_error(plan, 0.2, 1.0)]
+    assert values[0] == tl.spectral_norm(diff)
+    assert values[1] == tl.spectral_norm(diff @ lab.low_column_basis(0.5))
 
 
 def test_stepped_error_single_step_matches(aklt4):
@@ -107,17 +108,16 @@ def test_leakage_norm_dual_route(aklt4):
     op = tl.embed(aklt4.spec.terms[1], aklt4.spec.lattice)
     delta, delta_prime = 0.5, 3.0
     measured = aklt4.leakage_norm(op, delta, delta_prime)
-    low = aklt4.projector(delta).entries
-    high = np.eye(op.dim) - aklt4.projector(delta_prime).entries
-    oracle = np.linalg.norm(high @ op.entries @ low, 2)
+    low = aklt4.projector(delta)
+    high = np.eye(op.shape[0]) - aklt4.projector(delta_prime)
+    oracle = np.linalg.norm(high @ op @ low, 2)
     assert measured == pytest.approx(oracle, abs=1e-11)
     with pytest.raises(ValueError, match="exceed"):
         aklt4.leakage_norm(op, 1.0, 0.5)
 
 
 def test_leakage_identity_and_high_cutoff(aklt4):
-    eye = tl.operators.DenseOperator(81, np.eye(81), hermitian_hint=True)
-    assert aklt4.leakage_norm(eye, 0.5, 1.5) == pytest.approx(0.0, abs=1e-12)
+    assert aklt4.leakage_norm(np.eye(81), 0.5, 1.5) == pytest.approx(0.0, abs=1e-12)
     op = tl.embed(aklt4.spec.terms[0], aklt4.spec.lattice)
     assert aklt4.leakage_norm(op, 0.5, aklt4.max_energy + 1.0) == 0.0
 
@@ -153,7 +153,7 @@ def test_nested_commutator_sum_matches_brute_force(aklt4, mg4):
             assert pruned == pytest.approx(brute, abs=1e-10)
         proj = lab.projector(1.0)
         pruned = tl.nested_commutator_sum(spec, 2, proj)
-        brute = brute_commutator_sum(spec, 2, proj.entries)
+        brute = brute_commutator_sum(spec, 2, proj)
         assert pruned == pytest.approx(brute, abs=1e-10)
 
 
@@ -190,7 +190,7 @@ def test_commutator_sums_below_analytic_caps(aklt4, mg4):
 
 def test_expectation_sum_ground_state(aklt4):
     ground = aklt4.spectrum.eigenvectors[:, 0]
-    value, bound = tl.low_energy_expectation_sum(aklt4.spec, 1, ground, 0.0)
+    value, bound = tl.low_energy_expectation_sum(aklt4, 1, ground, 0.0)
     assert bound == 0.0
     assert value <= 1e-9
 
@@ -200,7 +200,7 @@ def test_expectation_sum_random_low_state(aklt4):
     k, g = aklt4.spec.locality_k, tl.extensiveness(aklt4.spec)
     for depth in (0, 1, 2):
         psi = aklt4.random_subspace_state(1.0, rng)
-        value, bound = tl.low_energy_expectation_sum(aklt4.spec, depth, psi, 1.0)
+        value, bound = tl.low_energy_expectation_sum(aklt4, depth, psi, 1.0)
         assert bound == pytest.approx(math.factorial(depth) * (2 * k * g) ** depth, rel=1e-12)
         assert value <= bound + 1e-9
 
@@ -209,7 +209,7 @@ def test_expectation_sum_depth_one_frozen_bound(aklt4):
     # k = 2, g = 2, delta = 1 -> 1! * (2*2*2)^1 * 1 = 8
     rng = np.random.default_rng(4)
     psi = aklt4.random_subspace_state(1.0, rng)
-    _, bound = tl.low_energy_expectation_sum(aklt4.spec, 1, psi, 1.0)
+    _, bound = tl.low_energy_expectation_sum(aklt4, 1, psi, 1.0)
     # g carries ~1e-15 eigensolver noise, so the frozen value is approximate
     assert bound == pytest.approx(8.0, rel=1e-12)
 
@@ -217,35 +217,16 @@ def test_expectation_sum_depth_one_frozen_bound(aklt4):
 def test_expectation_sum_rejects_leaky_state(aklt4):
     top = aklt4.spectrum.eigenvectors[:, -1]
     with pytest.raises(ValueError, match="subspace"):
-        tl.low_energy_expectation_sum(aklt4.spec, 1, top, 0.5)
+        tl.low_energy_expectation_sum(aklt4, 1, top, 0.5)
     with pytest.raises(ValueError, match="normalized"):
-        tl.low_energy_expectation_sum(aklt4.spec, 1, 2.0 * aklt4.spectrum.eigenvectors[:, 0], 0.5)
+        tl.low_energy_expectation_sum(aklt4, 1, 2.0 * aklt4.spectrum.eigenvectors[:, 0], 0.5)
 
 
 def test_random_subspace_state_properties(aklt4):
     rng = np.random.default_rng(5)
     psi = aklt4.random_subspace_state(1.0, rng)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    proj = aklt4.projector(1.0).entries
+    proj = aklt4.projector(1.0)
     assert np.linalg.norm(proj @ psi - psi) < 1e-12
-    assert aklt4.tail_weight(psi, 1.0) == pytest.approx(0.0, abs=1e-12)
     again = aklt4.random_subspace_state(1.0, np.random.default_rng(5))
     np.testing.assert_allclose(again, psi, atol=1e-14)
-
-
-def test_tail_weight_eigenstate(aklt4):
-    # highest eigenstate has all weight above any lower threshold
-    top = aklt4.spectrum.eigenvectors[:, -1]
-    assert aklt4.tail_weight(top, aklt4.max_energy - 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert aklt4.tail_weight(top, aklt4.max_energy) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_error_sample_validation():
-    sample = ErrorSample("aklt", 4, 1, 2, 0.1, 0.5, 0.01, "projected")
-    assert sample.delta == 0.5
-    with pytest.raises(ValueError, match="kind"):
-        ErrorSample("aklt", 4, 1, 2, 0.1, 0.5, 0.01, "weird")
-    with pytest.raises(ValueError, match="outside"):
-        ErrorSample("aklt", 4, 1, 2, 0.1, 0.5, 2.5, "full")
-    with pytest.raises(ValueError, match="delta"):
-        ErrorSample("aklt", 4, 1, 2, 0.1, None, 0.01, "projected")

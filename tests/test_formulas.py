@@ -85,22 +85,21 @@ def test_validate_plan_catches_tampering():
 def test_apply_plan_matches_expm_product(mg4):
     spec = mg4.spec
     _, parts = tl.assemble(spec)
-    part_entries = [p.entries for p in parts]
-    spectra = [tl.eigh(p) for p in parts]
+    spectra = [np.linalg.eigh(p) for p in parts]
     t = 0.37
     for p in (1, 2, 4):
         plan = tl.suzuki_plan(p, spec.gamma_count)
         oracle = np.eye(spec.lattice.hilbert_dim, dtype=complex)
         for gamma, alpha in plan.stages:
-            oracle = scipy.linalg.expm(-1j * alpha * t * part_entries[gamma - 1]) @ oracle
-        mine = tl.apply_plan(plan, spectra, t).entries
+            oracle = scipy.linalg.expm(-1j * alpha * t * parts[gamma - 1]) @ oracle
+        mine = tl.apply_plan(plan, spectra, t)
         np.testing.assert_allclose(mine, oracle, atol=1e-12)
 
 
 def test_apply_plan_negative_time_is_adjoint(aklt4):
     plan = tl.suzuki_plan(2, aklt4.spec.gamma_count)
-    forward = tl.apply_plan(plan, aklt4.part_spectra, 0.4).entries
-    backward = tl.apply_plan(plan, aklt4.part_spectra, -0.4).entries
+    forward = tl.apply_plan(plan, aklt4.part_spectra, 0.4)
+    backward = tl.apply_plan(plan, aklt4.part_spectra, -0.4)
     np.testing.assert_allclose(backward, forward.conj().T, atol=1e-12)
 
 
@@ -122,7 +121,7 @@ def test_error_halving_ratio(mg4):
 def test_order_check_slopes(aklt4):
     grid = list(np.geomspace(1e-3, 1e-2, 5))
     for p in (1, 2):
-        fit = tl.order_check(tl.suzuki_plan(p, 2), aklt4.spec, grid)
+        fit = tl.order_check(tl.suzuki_plan(p, 2), aklt4, grid)
         assert not fit.exact
         assert fit.slope == pytest.approx(p + 1, abs=0.2)
         assert fit.residual < 0.05
@@ -131,15 +130,15 @@ def test_order_check_slopes(aklt4):
 
 def test_order_check_higher_order_slope(lab_cache):
     # larger times keep fourth-order errors well above the noise floor
-    spec = lab_cache("aklt", 3).spec
-    fit = tl.order_check(tl.suzuki_plan(4, 2), spec, list(np.geomspace(0.05, 0.2, 5)))
+    lab = lab_cache("aklt", 3)
+    fit = tl.order_check(tl.suzuki_plan(4, 2), lab, list(np.geomspace(0.05, 0.2, 5)))
     assert not fit.exact
     assert fit.slope == pytest.approx(5.0, abs=0.3)
 
 
 def test_order_check_exact_for_commuting_groups():
-    spec = commuting_zz_spec(4)
-    fit = tl.order_check(tl.suzuki_plan(1, 1), spec, [0.1, 0.2, 0.4, 0.8])
+    lab = tl.ErrorLab(commuting_zz_spec(4))
+    fit = tl.order_check(tl.suzuki_plan(1, 1), lab, [0.1, 0.2, 0.4, 0.8])
     assert fit.exact
     assert fit.slope is None and fit.residual is None
     assert max(fit.errors) <= EXACT_ERROR_FLOOR
@@ -148,11 +147,11 @@ def test_order_check_exact_for_commuting_groups():
 def test_order_check_grid_validation(aklt4):
     plan = tl.suzuki_plan(1, 2)
     with pytest.raises(ValueError, match="4 grid times"):
-        tl.order_check(plan, aklt4.spec, [0.1, 0.2, 0.3])
+        tl.order_check(plan, aklt4, [0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="increasing"):
-        tl.order_check(plan, aklt4.spec, [0.1, 0.3, 0.2, 0.4])
+        tl.order_check(plan, aklt4, [0.1, 0.3, 0.2, 0.4])
     with pytest.raises(ValueError, match="increasing"):
-        tl.order_check(plan, aklt4.spec, [-0.1, 0.1, 0.2, 0.3])
+        tl.order_check(plan, aklt4, [-0.1, 0.1, 0.2, 0.3])
 
 
 def test_mutation_is_detected(aklt4):
@@ -165,7 +164,7 @@ def test_mutation_is_detected(aklt4):
     with pytest.raises(ValueError):
         tl.validate_plan(tampered)
     grid = list(np.geomspace(1e-3, 1e-2, 5))
-    fit = tl.order_check(tampered, aklt4.spec, grid)
+    fit = tl.order_check(tampered, aklt4, grid)
     assert abs(fit.slope - 3.0) > 0.2
 
 

@@ -4,8 +4,6 @@ Embedding and the matrix exponential are cross-checked against plain
 ``np.kron`` chains and ``scipy.linalg.expm``; the spectral norm against
 ``np.linalg.norm(A, 2)``.  Site 0 is the most significant tensor factor.
 """
-import struct
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,8 +11,7 @@ import scipy.linalg
 import trotterlab as tl
 from trotterlab.embedding import embed_block
 from trotterlab.lattice import LatticeSpec, LocalTerm
-from trotterlab.operators import (DUMP_MAGIC, DUMP_VERSION, DenseOperator,
-                                  SpectralData, low_energy_mask)
+from trotterlab.operators import low_energy_mask
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,8 +28,8 @@ def test_embed_site_zero_is_most_significant():
     lattice = LatticeSpec(2, 2)
     on_first = tl.embed(LocalTerm((0,), PAULI_Z), lattice)
     on_second = tl.embed(LocalTerm((1,), PAULI_Z), lattice)
-    np.testing.assert_array_equal(np.diag(on_first.entries).real, [1, 1, -1, -1])
-    np.testing.assert_array_equal(np.diag(on_second.entries).real, [1, -1, 1, -1])
+    np.testing.assert_array_equal(np.diag(on_first).real, [1, 1, -1, -1])
+    np.testing.assert_array_equal(np.diag(on_second).real, [1, -1, 1, -1])
 
 
 def test_embed_contiguous_matches_kron():
@@ -40,9 +37,9 @@ def test_embed_contiguous_matches_kron():
     block = random_hermitian(4, rng)
     lattice = LatticeSpec(3, 2)
     embedded = tl.embed(LocalTerm((1, 2), block), lattice)
-    np.testing.assert_allclose(embedded.entries, np.kron(EYE2, block), atol=1e-14)
+    np.testing.assert_allclose(embedded, np.kron(EYE2, block), atol=1e-14)
     embedded = tl.embed(LocalTerm((0, 1), block), lattice)
-    np.testing.assert_allclose(embedded.entries, np.kron(block, EYE2), atol=1e-14)
+    np.testing.assert_allclose(embedded, np.kron(block, EYE2), atol=1e-14)
 
 
 def test_embed_gapped_support():
@@ -51,7 +48,7 @@ def test_embed_gapped_support():
     b = random_hermitian(2, rng)
     lattice = LatticeSpec(3, 2)
     embedded = tl.embed(LocalTerm((0, 2), np.kron(a, b)), lattice)
-    np.testing.assert_allclose(embedded.entries,
+    np.testing.assert_allclose(embedded,
                                np.kron(np.kron(a, EYE2), b), atol=1e-13)
 
 
@@ -93,29 +90,17 @@ def test_assemble_matches_kron_sum(aklt4):
             acc = np.kron(acc, f)
         oracle += acc
     hamiltonian, parts = tl.assemble(spec)
-    np.testing.assert_allclose(hamiltonian.entries, oracle, atol=1e-12)
-    np.testing.assert_allclose(sum(p.entries for p in parts), oracle, atol=1e-12)
+    np.testing.assert_allclose(hamiltonian, oracle, atol=1e-12)
+    np.testing.assert_allclose(sum(parts), oracle, atol=1e-12)
     assert len(parts) == spec.gamma_count
-    assert hamiltonian.hermitian_hint and all(p.hermitian_hint for p in parts)
-
-
-def test_eigh_requires_hint_and_reconstructs():
-    rng = np.random.default_rng(10)
-    h = random_hermitian(12, rng)
-    with pytest.raises(ValueError, match="hint"):
-        tl.eigh(DenseOperator(12, h))
-    spectral = tl.eigh(DenseOperator(12, h, hermitian_hint=True))
-    assert np.all(np.diff(spectral.eigenvalues) >= 0)
-    rebuilt = (spectral.eigenvectors * spectral.eigenvalues) @ spectral.eigenvectors.conj().T
-    np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 
 def test_evolve_matches_expm():
     rng = np.random.default_rng(11)
     h = random_hermitian(20, rng)
-    spectral = tl.eigh(DenseOperator(20, h, hermitian_hint=True))
+    spectral = np.linalg.eigh(h)
     for t in (0.0, 0.3, -1.7):
-        mine = tl.evolve(spectral, t).entries
+        mine = tl.evolve(spectral, t)
         oracle = scipy.linalg.expm(-1j * t * h)
         np.testing.assert_allclose(mine, oracle, atol=1e-11)
         np.testing.assert_allclose(mine @ mine.conj().T, np.eye(20), atol=1e-12)
@@ -127,17 +112,16 @@ def test_spectral_norm_matches_two_norm():
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert tl.spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
     assert tl.spectral_norm(np.zeros((4, 4))) == 0.0
-    op = DenseOperator(2, PAULI_X, hermitian_hint=True)
-    assert tl.spectral_norm(op) == pytest.approx(1.0, abs=1e-12)
+    assert tl.spectral_norm(PAULI_X) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_low_energy_projector_rank_and_ties():
     values = np.array([0.0, 1.0, 1.0, 2.0, 3.5])
-    spectral = SpectralData(values, np.eye(5, dtype=complex))
-    assert round(float(np.trace(tl.low_energy_projector(spectral, 1.0).entries).real)) == 3
-    assert round(float(np.trace(tl.low_energy_projector(spectral, 0.5).entries).real)) == 1
+    spectral = np.linalg.eigh(np.diag(values).astype(complex))
+    assert round(float(np.trace(tl.low_energy_projector(spectral, 1.0)).real)) == 3
+    assert round(float(np.trace(tl.low_energy_projector(spectral, 0.5)).real)) == 1
     assert tl.spectral_norm(tl.low_energy_projector(spectral, -0.5)) == 0.0
-    proj = tl.low_energy_projector(spectral, 2.0).entries
+    proj = tl.low_energy_projector(spectral, 2.0)
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-14)
 
 
@@ -149,64 +133,6 @@ def test_low_energy_mask_tie_slack():
 
 
 def test_projector_commutes_with_hamiltonian(aklt4):
-    proj = aklt4.projector(1.0).entries
+    proj = aklt4.projector(1.0)
     h, _ = tl.assemble(aklt4.spec)
-    assert tl.spectral_norm(proj @ h.entries - h.entries @ proj) < 1e-9
-
-
-def test_commutator():
-    a = DenseOperator(2, PAULI_Z)
-    b = DenseOperator(2, PAULI_X)
-    np.testing.assert_allclose(tl.commutator(a, b).entries, 2j * PAULI_Y, atol=1e-14)
-    with pytest.raises(ValueError):
-        tl.commutator(a, DenseOperator(3, np.eye(3)))
-
-
-def test_dump_load_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    entries = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = DenseOperator(6, entries)
-    path = str(tmp_path / "op.bin")
-    tl.dump_operator(op, path)
-    again = tl.load_operator(path)
-    np.testing.assert_array_equal(again.entries, op.entries)
-
-    raw = open(path, "rb").read()
-    magic, version, dim = struct.unpack("<4sIQ", raw[:16])
-    assert magic == DUMP_MAGIC == b"TROT"
-    assert version == DUMP_VERSION == 1
-    assert dim == 6
-    assert len(raw) == 16 + 16 * 36
-
-
-def test_load_rejects_corrupt_files(tmp_path):
-    path = str(tmp_path / "bad.bin")
-    with open(path, "wb") as handle:
-        handle.write(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError, match="magic"):
-        tl.load_operator(path)
-    with open(path, "wb") as handle:
-        handle.write(struct.pack("<4sIQ", b"TROT", 1, 4) + b"\x00" * 10)
-    with pytest.raises(ValueError, match="payload"):
-        tl.load_operator(path)
-    with open(path, "wb") as handle:
-        handle.write(b"TR")
-    with pytest.raises(ValueError, match="truncated"):
-        tl.load_operator(path)
-
-
-def test_dense_operator_validation():
-    with pytest.raises(ValueError, match="shape"):
-        DenseOperator(3, np.eye(2))
-    with pytest.raises(ValueError, match="hermitian_hint"):
-        DenseOperator(2, np.array([[0, 1], [0, 0]]), hermitian_hint=True)
-    op = DenseOperator(2, PAULI_X)
-    with pytest.raises(ValueError):
-        op.entries[0, 0] = 9.0
-
-
-def test_spectral_data_validation():
-    with pytest.raises(ValueError, match="ascending"):
-        SpectralData(np.array([1.0, 0.0]), np.eye(2, dtype=complex))
-    with pytest.raises(ValueError, match="shapes"):
-        SpectralData(np.array([0.0, 1.0]), np.eye(3, dtype=complex))
+    assert tl.spectral_norm(proj @ h - h @ proj) < 1e-9
