@@ -117,7 +117,10 @@ def const_gamma_error_bound(inputs: BoundInputs) -> BoundReport:
     scale = 2.0 * c * gamma * k * g
     time_ok = abs(inputs.time) <= 1.0 / (math.e * scale)
     lead = 2.0 * c * gamma / ((1.0 - math.exp(-1.0)) * (p + 1))
-    value = lead * (scale * abs(inputs.time)) ** p * delta_prime * abs(inputs.time) + eps
+    try:
+        value = lead * (scale * abs(inputs.time)) ** p * delta_prime * abs(inputs.time) + eps
+    except OverflowError:
+        value = math.inf  # (scale t)**p overflows: the bound is vacuous
     return BoundReport(delta_prime, None, time_ok, value, FORMULA_CONST_GAMMA)
 
 
@@ -130,7 +133,11 @@ def generic_error_bound(inputs: BoundInputs) -> BoundReport:
     delta_prime = inputs.delta + 4.0 * k * g * (2.0 + math.log(inputs.num_sites / eps))
     scale = 2.0 * c * p0 * k * g
     time_ok = abs(inputs.time) <= 0.5 / scale
-    value = 4.0 * c / (p + 1) * (scale * abs(inputs.time)) ** p * delta_prime * abs(inputs.time) + eps
+    try:
+        value = (4.0 * c / (p + 1) * (scale * abs(inputs.time)) ** p * delta_prime
+                 * abs(inputs.time) + eps)
+    except OverflowError:
+        value = math.inf  # (scale t)**p overflows: the bound is vacuous
     return BoundReport(delta_prime, p0, time_ok, value, FORMULA_GENERIC)
 
 

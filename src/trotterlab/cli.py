@@ -149,6 +149,10 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError("key 'cap': must be at least 4")
     if not (0 <= config.nu < math.inf and 0 < config.j0 < math.inf):
         raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
+    for key, entries in (("n", config.n_list), ("p", config.p_list),
+                         ("t", config.t_list), ("delta", config.delta_list)):
+        if len(set(entries)) != len(entries):
+            raise ConfigError(f"key {key!r}: repeated entry in {entries}")
 
 
 def _build_model(model: str, n: int, cap: int, nu: float, j0: float):
@@ -225,6 +229,14 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+def _check_output_path(path: str | None) -> None:
+    """Refuse, before any work, an output path in a missing directory or naming one."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output directory of {path!r} does not exist")
+    if path and os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write via a unique temp file in the target directory, then rename."""
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
@@ -245,6 +257,7 @@ def _write_atomic(path: str, text: str) -> None:
 def run_sweep(config: SweepConfig) -> str:
     """Evaluate the grid, return (and optionally write) the sorted CSV."""
     validate_sweep_config(config)
+    _check_output_path(config.output_path)
     tasks = [(config, n) for n in config.n_list]
     if config.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -282,6 +295,44 @@ def _parse_bounds_record(record: dict) -> BoundInputs:
         **optional)
 
 
+def _bound_rows(inputs: BoundInputs) -> list[dict]:
+    """One CSV row per bound family evaluated on one input row."""
+
+    def stamped(**fields) -> dict:
+        row = _empty_row()
+        row.update(N=inputs.num_sites, p=inputs.order_p, Gamma=inputs.gamma_count,
+                   t=inputs.time, delta=inputs.delta)
+        row.update(fields)
+        return row
+
+    const_report = const_gamma_error_bound(inputs)
+    generic_report = generic_error_bound(inputs)
+    commutator_cap = projected_commutator_bound(
+        inputs.order_p, inputs.locality, inputs.extensiveness, inputs.delta)
+    rows = [
+        stamped(bound_cor_s4=const_report.bound_value,
+                delta_prime=const_report.delta_prime,
+                time_condition_ok=const_report.time_condition_ok,
+                formula_id=const_report.formula_id),
+        stamped(bound_thm_s3=generic_report.bound_value,
+                delta_prime=generic_report.delta_prime,
+                p0=generic_report.p0,
+                time_condition_ok=generic_report.time_condition_ok,
+                formula_id=generic_report.formula_id),
+        stamped(error_value=commutator_cap, formula_id=FORMULA_COMMUTATOR),
+        stamped(error_value=trotter_count_formula(inputs, "const_gamma"),
+                formula_id=FORMULA_COUNT_CONST),
+        stamped(error_value=trotter_count_formula(inputs, "general"),
+                formula_id=FORMULA_COUNT_GENERAL),
+    ]
+    if inputs.energy_expectation is not None:
+        x, count = weakly_correlated_number(inputs)
+        rows.append(stamped(error_value=count,
+                            delta_prime=inputs.energy_expectation + x,
+                            formula_id=FORMULA_WEAKLY_CORRELATED))
+    return rows
+
+
 def run_bounds(text: str) -> tuple[str, list[str]]:
     """Evaluate every bound family per input row; returns (csv, diagnostics)."""
     reader = csv.DictReader(io.StringIO(text))
@@ -293,41 +344,9 @@ def run_bounds(text: str) -> tuple[str, list[str]]:
     diagnostics: list[str] = []
     for number, record in enumerate(reader, start=2):
         try:
-            inputs = _parse_bounds_record(record)
-        except (ValueError, TypeError) as exc:
+            rows += _bound_rows(_parse_bounds_record(record))
+        except (ValueError, TypeError, OverflowError) as exc:
             diagnostics.append(f"row {number}: rejected ({exc})")
-            continue
-
-        def stamped(**fields) -> dict:
-            row = _empty_row()
-            row.update(N=inputs.num_sites, p=inputs.order_p, Gamma=inputs.gamma_count,
-                       t=inputs.time, delta=inputs.delta)
-            row.update(fields)
-            return row
-
-        const_report = const_gamma_error_bound(inputs)
-        generic_report = generic_error_bound(inputs)
-        rows.append(stamped(bound_cor_s4=const_report.bound_value,
-                            delta_prime=const_report.delta_prime,
-                            time_condition_ok=const_report.time_condition_ok,
-                            formula_id=const_report.formula_id))
-        rows.append(stamped(bound_thm_s3=generic_report.bound_value,
-                            delta_prime=generic_report.delta_prime,
-                            p0=generic_report.p0,
-                            time_condition_ok=generic_report.time_condition_ok,
-                            formula_id=generic_report.formula_id))
-        commutator_cap = projected_commutator_bound(
-            inputs.order_p, inputs.locality, inputs.extensiveness, inputs.delta)
-        rows.append(stamped(error_value=commutator_cap, formula_id=FORMULA_COMMUTATOR))
-        rows.append(stamped(error_value=trotter_count_formula(inputs, "const_gamma"),
-                            formula_id=FORMULA_COUNT_CONST))
-        rows.append(stamped(error_value=trotter_count_formula(inputs, "general"),
-                            formula_id=FORMULA_COUNT_GENERAL))
-        if inputs.energy_expectation is not None:
-            x, count = weakly_correlated_number(inputs)
-            rows.append(stamped(error_value=count,
-                                delta_prime=inputs.energy_expectation + x,
-                                formula_id=FORMULA_WEAKLY_CORRELATED))
     return rows_to_csv(rows), diagnostics
 
 
@@ -355,6 +374,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _check_output_path(args.out)
     try:
         with open(args.inputs, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -371,6 +391,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_output_path(args.out)
     results = run_verify(seed=args.seed if args.seed is not None else 0)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -384,6 +405,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_model(args) -> int:
+    _check_output_path(args.out)
     if args.model not in MODELS:
         raise ConfigError(f"unknown model {args.model!r}")
     if args.n < _MIN_SITES[args.model]:

@@ -1,9 +1,12 @@
 """Exact Trotter errors, optionally restricted to low-energy subspaces.
 
 The central quantity is the spectral norm of (exp(-iHt) - T_p(t)) P, where
-P projects onto eigenstates with energy at most delta.  ``ErrorLab`` caches
-the assembled Hamiltonian, its spectrum and the group spectra so that sweeps
-over (p, t, delta) only pay for stage products and norms.
+P projects onto eigenstates with energy at most delta.  It depends only on
+the block V of those eigenvectors, since exp(-iHt) V = V exp(-iEt): the
+error is ||V exp(-iEt) - T_p(t) V||, and with every column it is the full
+norm, as V is then unitary.  ``ErrorLab`` caches the assembled Hamiltonian,
+its spectrum and the group spectra so that sweeps over (p, t, delta) only
+pay for stage products on the block and norms.
 """
 from __future__ import annotations
 
@@ -14,8 +17,7 @@ from numpy.linalg import eigh
 
 from .formulas import FormulaPlan, apply_plan
 from .lattice import HamiltonianSpec, extensiveness
-from .operators import (_matrix_norm, assemble, embed, evolve, low_energy_mask,
-                        low_energy_projector)
+from .operators import _matrix_norm, assemble, embed, low_energy_mask
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -38,48 +40,43 @@ class ErrorLab:
     def max_energy(self) -> float:
         return float(self.spectrum.eigenvalues[-1])
 
-    def exact_propagator(self, t: float) -> np.ndarray:
-        return evolve(self.spectrum, t)
+    def _column_count(self, delta: float | None) -> int:
+        """Number of eigenvalues <= delta (ties included); None means all."""
+        if delta is None:
+            return self.spectrum.eigenvalues.size
+        return int(np.count_nonzero(low_energy_mask(self.spectrum.eigenvalues, delta)))
 
-    def trotter_propagator(self, plan: FormulaPlan, t: float) -> np.ndarray:
-        return apply_plan(plan, self.part_spectra, t)
-
-    def difference(self, plan: FormulaPlan, t: float) -> np.ndarray:
-        return self.exact_propagator(t) - self.trotter_propagator(plan, t)
-
-    def low_column_basis(self, delta: float) -> np.ndarray:
-        """Eigenvector columns with eigenvalue <= delta (ties included)."""
-        mask = low_energy_mask(self.spectrum.eigenvalues, delta)
-        return self.spectrum.eigenvectors[:, mask]
-
-    def projector(self, delta: float) -> np.ndarray:
-        return low_energy_projector(self.spectrum, delta)
-
-    def _restricted_norm(self, op: np.ndarray, delta: float | None) -> float:
-        """Norm of op on the energy-delta subspace; None or inf means the full norm."""
-        if delta is None or math.isinf(delta):
-            return _matrix_norm(op)
-        return _matrix_norm(op @ self.low_column_basis(delta))
+    def low_column_basis(self, delta: float | None) -> np.ndarray:
+        """Eigenvector columns with eigenvalue <= delta: a prefix, as eigenvalues ascend."""
+        return self.spectrum.eigenvectors[:, :self._column_count(delta)]
 
     def errors(self, plan: FormulaPlan, t: float,
-               deltas: list[float] | tuple[float, ...]) -> list[float]:
-        """Error norms of one propagator difference, one per cutoff (inf: full)."""
-        diff = self.difference(plan, t)
-        return [self._restricted_norm(diff, delta) for delta in deltas]
+               deltas: list[float] | tuple[float, ...], steps: int = 1) -> list[float]:
+        """Norms of (exp(-iHt) - T_p(t/steps)**steps) P_delta, one per cutoff.
+
+        Each cutoff takes its column prefix of one difference on the widest
+        block; None or inf means every column, the full norm.
+        """
+        if steps < 1:
+            raise ValueError("need at least one step")
+        counts = [self._column_count(delta) for delta in deltas]
+        block = self.spectrum.eigenvectors[:, :max(counts, default=0)]
+        exact = block * np.exp(-1j * t * self.spectrum.eigenvalues[:block.shape[1]])
+        # the plan repeated steps times at t/steps: each stage exponential is built once
+        stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps,
+                              plan.cycles * steps)
+        diff = exact - apply_plan(stepped, self.part_spectra, t / steps, block)
+        return [_matrix_norm(diff[:, :m]) for m in counts]
 
     def full_error(self, plan: FormulaPlan, t: float) -> float:
-        return self.errors(plan, t, (math.inf,))[0]
+        return self.errors(plan, t, (None,))[0]
 
     def projected_error(self, plan: FormulaPlan, t: float, delta: float | None) -> float:
         return self.errors(plan, t, (delta,))[0]
 
     def stepped_error(self, plan: FormulaPlan, t: float, steps: int,
                       delta: float | None = None) -> float:
-        """Error of T_p(t/steps)**steps against exp(-iHt), optionally projected."""
-        if steps < 1:
-            raise ValueError("need at least one step")
-        stepped = np.linalg.matrix_power(self.trotter_propagator(plan, t / steps), steps)
-        return self._restricted_norm(self.exact_propagator(t) - stepped, delta)
+        return self.errors(plan, t, (delta,), steps)[0]
 
     def leakage_norm(self, op: np.ndarray, delta: float, delta_prime: float) -> float:
         """Norm of P_above(delta_prime) O P_below(delta)."""
@@ -87,8 +84,7 @@ class ErrorLab:
             raise ValueError("delta_prime must exceed delta")
         if op.shape != self.hamiltonian.shape:
             raise ValueError("operator dimension does not match the lab")
-        high_mask = ~low_energy_mask(self.spectrum.eigenvalues, delta_prime)
-        high = self.spectrum.eigenvectors[:, high_mask]
+        high = self.spectrum.eigenvectors[:, self._column_count(delta_prime):]
         low = self.low_column_basis(delta)
         return _matrix_norm(high.conj().T @ op @ low)
 
@@ -140,25 +136,26 @@ def _tuple_walk(embedded: list[np.ndarray], supports: list[set[int]], depth: int
 
 
 def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
-                          projector: np.ndarray | None = None) -> float:
+                          basis: np.ndarray | None = None) -> float:
     """Sum over term tuples of the nested-commutator norm, optionally projected.
 
-    With a projector P the summand is ||P [h_q, ..., [h_1, h_0]] P||; depth
-    is the number of commutators (1..3).
+    With an orthonormal block V (``ErrorLab.low_column_basis``) the summand
+    is ||V^dag [h_q, ..., [h_1, h_0]] V||, which equals ||P C P|| for the
+    projector P = V V^dag; depth is the number of commutators (1..3).
     """
     if not 1 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_COMMUTATOR_DEPTH}, got {depth}")
     dim = spec.lattice.hilbert_dim
-    if projector is not None and projector.shape != (dim, dim):
-        raise ValueError("projector dimension does not match the spec")
+    if basis is not None and basis.shape[0] != dim:
+        raise ValueError("basis dimension does not match the spec")
     embedded = [embed(term, spec.lattice) for term in spec.terms]
     supports = [set(term.support) for term in spec.terms]
     total = 0.0
 
     def leaf(matrix: np.ndarray) -> None:
         nonlocal total
-        if projector is not None:
-            matrix = projector @ matrix @ projector
+        if basis is not None:
+            matrix = basis.conj().T @ matrix @ basis
         total += _matrix_norm(matrix)
 
     _tuple_walk(embedded, supports, depth, leaf)

@@ -93,22 +93,21 @@ def validate_plan(plan: FormulaPlan) -> None:
             raise ValueError(f"group {gamma} coefficients sum to {total}, not 1")
 
 
-def apply_plan(plan: FormulaPlan, parts_spectra, t: float) -> np.ndarray:
-    """Multiply out the stage exponentials built from the group ``eigh`` results."""
+def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray) -> np.ndarray:
+    """T_p(t) @ block, each stage exponential built once per (group, coefficient)."""
     if len(parts_spectra) != plan.gamma_count:
         raise ValueError(
             f"plan wants {plan.gamma_count} group spectra, got {len(parts_spectra)}")
     dim = parts_spectra[0].eigenvalues.size
     if any(sd.eigenvalues.size != dim for sd in parts_spectra):
         raise ValueError("group spectra have inconsistent dimensions")
-    product = np.eye(dim, dtype=complex)
     stage_cache: dict[tuple[int, float], np.ndarray] = {}
     for gamma, alpha in plan.stages:
         key = (gamma, alpha)
         if key not in stage_cache:
             stage_cache[key] = evolve(parts_spectra[gamma - 1], alpha * t)
-        product = stage_cache[key] @ product
-    return product
+        block = stage_cache[key] @ block
+    return block
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,8 @@ class LocalTerm:
         block = np.array(self.block, dtype=complex)
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise ValueError(f"block must be square, got shape {block.shape}")
+        if not np.isfinite(block).all():
+            raise ValueError("block has non-finite entries")
         if np.abs(block - block.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("block is not Hermitian")
         block.setflags(write=False)
@@ -214,10 +216,10 @@ def build_long_range_heisenberg(num_sites: int, decay_exponent: float,
     axis P in (X, Y, Z); same-axis terms commute, so the axes form the
     three partition groups.
     """
-    if decay_exponent < 0:
-        raise ValueError("decay exponent must be nonnegative")
-    if base_coupling <= 0:
-        raise ValueError("base coupling must be positive")
+    if not (np.isfinite(decay_exponent) and decay_exponent >= 0):
+        raise ValueError("decay exponent must be finite and nonnegative")
+    if not (np.isfinite(base_coupling) and base_coupling > 0):
+        raise ValueError("base coupling must be finite and positive")
     lattice = LatticeSpec(num_sites, 2, dim_cap=dim_cap)
     eye4 = np.eye(4, dtype=complex)
     axis_blocks = [(np.kron(p, p) + eye4) / 2 for p in (PAULI_X, PAULI_Y, PAULI_Z)]

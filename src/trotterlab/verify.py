@@ -19,7 +19,7 @@ from .bounds import (BoundInputs, trotter_number_certified, const_gamma_error_bo
                      trotter_count_formula, unrestricted_commutator_bound)
 from .errors import (ErrorLab, excitation_tail_bound, low_energy_expectation_sum,
                      nested_commutator_sum)
-from .formulas import FormulaPlan, order_check, plan_table, suzuki_plan
+from .formulas import FormulaPlan, apply_plan, order_check, plan_table, suzuki_plan
 from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm, PAULI_Z, build_aklt,
                       build_long_range_heisenberg, build_mg, extensiveness,
                       long_range_extensiveness, validate)
@@ -146,7 +146,7 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
     out.append(CheckResult("op-projector-idempotent", worst <= 1e-10, worst, 1e-10))
 
     proj = low_energy_projector(aklt4.spectrum, 1.0)
-    u = aklt4.exact_propagator(0.7)
+    u = evolve(aklt4.spectrum, 0.7)
     comm = float(spectral_norm(u @ proj - proj @ u))
     out.append(CheckResult("op-projector-commutes", comm <= 1e-9, comm, 1e-9))
 
@@ -193,7 +193,7 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     worst = 0.0
     for p in (1, 2, 4):
         plan = suzuki_plan(p, aklt3.spec.gamma_count)
-        u = aklt3.trotter_propagator(plan, 0.3)
+        u = apply_plan(plan, aklt3.part_spectra, 0.3, eye)
         worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
     out.append(CheckResult("pf-unitary", worst <= 1e-9, worst, 1e-9))
 
@@ -262,7 +262,7 @@ def _error_checks(lab_for, rng) -> list[CheckResult]:
                                                spec.lattice.num_sites)
             worst_ratio = max(worst_ratio, unrestricted / cap)
             for delta in (0.5, 1.0):
-                projected = nested_commutator_sum(spec, depth, lab.projector(delta))
+                projected = nested_commutator_sum(spec, depth, lab.low_column_basis(delta))
                 bound = projected_commutator_bound(depth, spec.locality_k, g, delta)
                 worst_ratio = max(worst_ratio, projected / bound)
     out.append(CheckResult("err-commutator-bounds", worst_ratio < 1.0, worst_ratio, 1.0))

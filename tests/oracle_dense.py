@@ -1,0 +1,56 @@
+"""Dense reference route for Trotter errors and projected commutator sums.
+
+Every quantity here lives on the full dim x dim space: the exact and the
+Trotter propagators are matrices, steps are a matrix power, the low-energy
+subspace is a projector and a projected commutator leaf is the sandwich
+P C P.  ``ErrorLab`` computes the same numbers on the eigenvector block;
+the tests compare the two routes.
+"""
+import itertools
+import math
+
+import numpy as np
+
+import trotterlab as tl
+
+
+def difference(lab, plan, t, steps=1):
+    """exp(-iHt) - T_p(t/steps)**steps, with T_p multiplied out from the identity."""
+    trotter = np.eye(lab.hamiltonian.shape[0], dtype=complex)
+    for gamma, alpha in plan.stages:
+        trotter = tl.evolve(lab.part_spectra[gamma - 1], alpha * (t / steps)) @ trotter
+    return tl.evolve(lab.spectrum, t) - np.linalg.matrix_power(trotter, steps)
+
+
+def projector(lab, delta):
+    return tl.low_energy_projector(lab.spectrum, delta)
+
+
+def errors(lab, plan, t, deltas, steps=1):
+    """||difference @ P_delta|| per cutoff; None or inf is the full norm."""
+    diff = difference(lab, plan, t, steps)
+    return [np.linalg.norm(diff if delta is None or math.isinf(delta)
+                           else diff @ projector(lab, delta), 2)
+            for delta in deltas]
+
+
+def full_error(lab, plan, t):
+    return errors(lab, plan, t, (math.inf,))[0]
+
+
+def commutator_sum(spec, depth, proj=None):
+    """Sum of ||P [h_q, ..., [h_1, h_0]] P|| over every term tuple.
+
+    No pruning: tuples with a disjoint support give commutators that vanish
+    exactly, so they add zero.
+    """
+    embedded = [tl.embed(term, spec.lattice) for term in spec.terms]
+    total = 0.0
+    for tup in itertools.product(range(len(embedded)), repeat=depth + 1):
+        mat = embedded[tup[0]]
+        for idx in tup[1:]:
+            mat = embedded[idx] @ mat - mat @ embedded[idx]
+        if proj is not None:
+            mat = proj @ mat @ proj
+        total += np.linalg.norm(mat, 2)
+    return total

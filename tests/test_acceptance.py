@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle_dense
 import trotterlab as tl
 from trotterlab import cli
 
@@ -46,7 +47,7 @@ def test_criterion_02_projected_commutator_caps(lab_cache):
         g = tl.extensiveness(lab.spec)
         for q in (1, 2):
             for delta in (0.5, 1.0):
-                value = tl.nested_commutator_sum(lab.spec, q, lab.projector(delta))
+                value = tl.nested_commutator_sum(lab.spec, q, lab.low_column_basis(delta))
                 cap = tl.projected_commutator_bound(q, k, g, delta)
                 margin = (cap - value) / cap
                 worst = min(worst, margin)
@@ -140,14 +141,12 @@ def test_criterion_05_bound_soundness(lab_cache):
                     probe = tl.BoundInputs(n, k, g, gamma, p, 0.5, 0.1, 0.01, 0.01)
                     t_max = 0.5 / (2 * cycles * evaluate(probe).p0 * k * g)
                 for t in (0.1, 0.5 * t_max, 0.9 * t_max):
-                    diff = lab.difference(plan, t)
-                    for delta in (0.5, 1.0):
+                    errors = lab.errors(plan, t, (0.5, 1.0))
+                    for delta, measured in zip((0.5, 1.0), errors):
                         report = evaluate(tl.BoundInputs(n, k, g, gamma, p,
                                                          delta, t, 0.01, 0.01))
                         if not report.time_condition_ok:
                             continue
-                        measured = tl.spectral_norm(
-                            diff @ lab.low_column_basis(delta))
                         checked += 1
                         violations += measured > report.bound_value
     ok = violations == 0 and checked > 0
@@ -166,9 +165,8 @@ def test_criterion_06_system_size_shape(lab_cache):
     below = True
     for n in (3, 4, 5, 6):
         lab = lab_cache("aklt", n)
-        diff = lab.difference(plan, 0.1)
-        full[n] = tl.spectral_norm(diff)
-        projected[n] = tl.spectral_norm(diff @ lab.low_column_basis(0.5))
+        full[n] = oracle_dense.full_error(lab, plan, 0.1)
+        projected[n] = lab.errors(plan, 0.1, (0.5,))[0]
         below = below and projected[n] < full[n]
     full_ratio = full[6] / full[4]
     proj_ratio = projected[6] / projected[4]
@@ -184,13 +182,11 @@ def test_criterion_07_energy_cutoff_shape(lab_cache):
     unrestricted error at the top of the spectrum."""
     lab = lab_cache("aklt", 5)
     plan = tl.suzuki_plan(1, 2)
-    diff = lab.difference(plan, 0.1)
     top = lab.max_energy
     grid = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, top]
-    values = [tl.spectral_norm(diff @ lab.low_column_basis(delta))
-              for delta in grid]
+    values = lab.errors(plan, 0.1, grid)
     monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    gap = abs(values[-1] - tl.spectral_norm(diff))
+    gap = abs(values[-1] - oracle_dense.full_error(lab, plan, 0.1))
     ok = monotone and gap <= 1e-10
     _report("criterion 7 (cutoff dependence shape)", ok,
             f"nondecreasing over {len(grid)} cutoffs: {monotone}; "

@@ -67,6 +67,10 @@ def test_time_condition_flags():
     # a violated condition still reports an evaluated bound
     late = tl.const_gamma_error_bound(make_inputs(time=0.5))
     assert late.bound_value > 0
+    # (scale t)**p overflows a float: the bound is vacuous, not an error
+    for evaluate in (tl.const_gamma_error_bound, tl.generic_error_bound):
+        huge = evaluate(make_inputs(order_p=6, time=1e100))
+        assert huge.bound_value == math.inf and not huge.time_condition_ok
 
 
 def test_bound_monotone_in_delta_and_time():

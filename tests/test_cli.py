@@ -63,6 +63,10 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = 1.5", "(0, 1)"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "at least 1"),
     ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "above the cap"),
+    ("model = mg\nn = 4, 4\np = 1\nt = 0.1\ndelta = 1", "repeated entry"),
+    ("model = mg\nn = 4\np = 1, 1\nt = 0.1\ndelta = 1", "repeated entry"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1, 0.1\ndelta = 1", "repeated entry"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 0.5, 0.5", "repeated entry"),
 ])
 def test_parse_rejects(text, fragment):
     with pytest.raises(cli.ConfigError) as info:
@@ -192,15 +196,25 @@ def test_bounds_rejects_bad_rows_with_diagnostics():
             "16,2,-1.0,2,1,1.0,0.01,0.01,0.01\n"
             "16,2,nan,2,1,1.0,0.01,0.01,0.01\n"
             "16,2,2.0,2,1,1.0,inf,0.01,0.01\n"
+            "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n"
+            "16,2,2.0,2,6,1.0,1e100,0.01,0.01\n"
+            "16,2,2.0,2,1,1.0,1e300,0.01,0.01\n"
             "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n")
     csv_text, diagnostics = cli.run_bounds(text)
-    assert len(diagnostics) == 3
+    assert len(diagnostics) == 4
     assert diagnostics[0].startswith("row 3: rejected")
     assert "positive" in diagnostics[0]
     assert diagnostics[1].startswith("row 4: rejected") and "finite" in diagnostics[1]
     assert diagnostics[2].startswith("row 5: rejected") and "finite" in diagnostics[2]
-    # good rows still evaluated: 2 inputs x 5 families
-    assert len(parse_rows(csv_text)) == 10
+    # the step-count formula overflows at t = 1e300
+    assert diagnostics[3].startswith("row 8: rejected")
+    # good rows still evaluated: 4 inputs x 5 families
+    rows = parse_rows(csv_text)
+    assert len(rows) == 20
+    # (scale t)**6 overflows at t = 1e100: both bounds are vacuous
+    huge = [row for row in rows if row["t"] == "1e+100"]
+    assert [row["bound_cor_s4"] for row in huge if row["formula_id"] == "cor_s4"] == ["inf"]
+    assert [row["bound_thm_s3"] for row in huge if row["formula_id"] == "thm_s3"] == ["inf"]
 
 
 def test_bounds_missing_column_is_config_error():
@@ -217,6 +231,12 @@ def test_main_sweep_stdout_and_exit_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == EXPECTED_HEADER
     assert len(out.splitlines()) == 3
+    # (scale t)**p overflows a float at t = 1e100: vacuous bounds, not a traceback
+    path.write_text("model = aklt\nn = 3\np = 4\nt = 1e100\ndelta = 1.0\nbounds = true",
+                    encoding="utf-8")
+    assert cli.main(["sweep", str(path)]) == 0
+    (row,) = parse_rows(capsys.readouterr().out)
+    assert row["bound_cor_s4"] == "inf" and row["bound_thm_s3"] == "inf"
 
 
 def test_main_flag_overrides_config(tmp_path):
@@ -253,6 +273,10 @@ def test_main_bounds_rejection_exits_one(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["bounds", str(path)]) == 1
     assert "rejected" in capsys.readouterr().err
+    path.write_text(BOUNDS_HEADER + "\n16,2,2.0,2,1,1.0,1e300,0.01,0.01\n",
+                    encoding="utf-8")
+    assert cli.main(["bounds", str(path)]) == 1
+    assert "row 2: rejected" in capsys.readouterr().err
 
 
 def test_main_verify_passes_and_reports(tmp_path, capsys):
@@ -281,3 +305,28 @@ def test_main_dump_model_round_trip(tmp_path):
 def test_main_dump_model_rejects_small_chain(capsys):
     assert cli.main(["dump-model", "--model", "mg", "--n", "2"]) == 2
     assert "at least" in capsys.readouterr().err
+    assert cli.main(["dump-model", "--model", "lr_heisenberg", "--n", "3",
+                     "--nu", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "bounds", "verify", "dump-model"])
+def test_output_path_checked_before_work(command, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "grid.cfg"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(BOUNDS_HEADER + "\n16,2,2.0,2,1,1.0,0.01,0.01,0.01\n",
+                      encoding="utf-8")
+    argv = {"sweep": ["sweep", str(config)], "bounds": ["bounds", str(inputs)],
+            "verify": ["verify"],
+            "dump-model": ["dump-model", "--model", "mg", "--n", "4"]}[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("_task_rows", "run_bounds", "run_verify", "_build_model"):
+        monkeypatch.setattr(cli, name, no_work)
+    for out, fragment in ((tmp_path / "missing" / "x.csv", "does not exist"),
+                          (tmp_path, "is a directory")):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err

@@ -92,21 +92,25 @@ def test_apply_plan_matches_expm_product(mg4):
         oracle = np.eye(spec.lattice.hilbert_dim, dtype=complex)
         for gamma, alpha in plan.stages:
             oracle = scipy.linalg.expm(-1j * alpha * t * parts[gamma - 1]) @ oracle
-        mine = tl.apply_plan(plan, spectra, t)
+        mine = tl.apply_plan(plan, spectra, t, np.eye(spec.lattice.hilbert_dim))
         np.testing.assert_allclose(mine, oracle, atol=1e-12)
+        block = mg4.low_column_basis(1.0)
+        np.testing.assert_allclose(tl.apply_plan(plan, spectra, t, block),
+                                   oracle @ block, atol=1e-12)
 
 
 def test_apply_plan_negative_time_is_adjoint(aklt4):
     plan = tl.suzuki_plan(2, aklt4.spec.gamma_count)
-    forward = tl.apply_plan(plan, aklt4.part_spectra, 0.4)
-    backward = tl.apply_plan(plan, aklt4.part_spectra, -0.4)
+    eye = np.eye(aklt4.spec.lattice.hilbert_dim)
+    forward = tl.apply_plan(plan, aklt4.part_spectra, 0.4, eye)
+    backward = tl.apply_plan(plan, aklt4.part_spectra, -0.4, eye)
     np.testing.assert_allclose(backward, forward.conj().T, atol=1e-12)
 
 
 def test_apply_plan_input_validation(aklt4):
     plan = tl.suzuki_plan(1, 3)
     with pytest.raises(ValueError, match="group spectra"):
-        tl.apply_plan(plan, aklt4.part_spectra, 0.1)
+        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(81))
 
 
 def test_error_halving_ratio(mg4):

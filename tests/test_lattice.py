@@ -120,6 +120,9 @@ def test_long_range_structure_and_couplings():
     for term in spec.terms:
         distance = term.support[1] - term.support[0]
         assert term.norm == pytest.approx(1.5 * distance ** -2.0, rel=1e-12)
+    for nu, j0 in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            tl.build_long_range_heisenberg(4, nu, j0)
 
 
 def test_terms_are_psd_after_build(lab_cache):
@@ -208,6 +211,10 @@ def test_local_term_rejects_bad_input():
         LocalTerm((0,), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         LocalTerm((0,), np.ones((2, 3)))
+    # NaN fails every comparison, so the Hermiticity test alone would pass it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            LocalTerm((0,), np.diag([1.0, bad]))
 
 
 def test_local_term_block_immutable():
