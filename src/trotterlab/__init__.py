@@ -17,7 +17,7 @@ from .errors import (ErrorLab, excitation_tail_bound, low_energy_expectation_sum
                      nested_commutator_sum)
 from .formulas import (FormulaPlan, MAX_ORDER, OrderFit, apply_plan, cycle_count,
                        order_check, plan_table, suzuki_plan, validate_plan)
-from .lattice import (DEFAULT_DIM_CAP, HamiltonianSpec, LatticeSpec, LocalTerm,
+from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm,
                       ValidationReport, build_aklt, build_long_range_heisenberg,
                       build_mg, extensiveness, greedy_partition,
                       long_range_extensiveness, shift_psd, spec_from_json,
@@ -29,8 +29,7 @@ from .verify import CheckResult, results_to_csv, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundInputs", "BoundReport", "CERTIFIED_MAX_STEPS", "CheckResult",
-    "DEFAULT_DIM_CAP", "ErrorLab",
+    "BoundInputs", "BoundReport", "CERTIFIED_MAX_STEPS", "CheckResult", "ErrorLab",
     "FORMULA_COMMUTATOR", "FORMULA_CONST_GAMMA", "FORMULA_COUNT_CONST",
     "FORMULA_COUNT_GENERAL", "FORMULA_GENERIC", "FORMULA_WEAKLY_CORRELATED",
     "FormulaPlan", "HamiltonianSpec", "LatticeSpec", "LocalTerm", "MAX_ORDER",

@@ -21,10 +21,10 @@ from .bounds import (BoundInputs, FORMULA_COMMUTATOR, FORMULA_COUNT_CONST,
                      const_gamma_error_bound, generic_error_bound,
                      projected_commutator_bound, trotter_count_formula,
                      weakly_correlated_number)
-from .errors import ErrorLab
+from .errors import ErrorLab, lab_bytes
 from .formulas import suzuki_plan
-from .lattice import (DEFAULT_DIM_CAP, build_aklt, build_long_range_heisenberg,
-                      build_mg, extensiveness, spec_to_json)
+from .lattice import (build_aklt, build_long_range_heisenberg, build_mg,
+                      extensiveness, require_memory, spec_to_json)
 from .verify import results_to_csv, run_verify
 
 CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_value",
@@ -32,7 +32,6 @@ CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_val
               "time_condition_ok", "formula_id"]
 
 MODELS = ("aklt", "mg", "lr_heisenberg")
-_LOCAL_DIM = {"aklt": 3, "mg": 2, "lr_heisenberg": 2}
 _MIN_SITES = {"aklt": 2, "mg": 3, "lr_heisenberg": 2}
 _ORDERS = (1, 2, 4, 6)
 
@@ -56,13 +55,12 @@ class SweepConfig:
     output_path: str | None = None
     eps_small: float = 0.01
     workers: int = 1
-    cap: int = DEFAULT_DIM_CAP
     nu: float = 2.0
     j0: float = 1.0
 
 
 _CONFIG_KEYS = ("model", "n", "p", "t", "delta", "bounds", "out",
-                "eps_small", "workers", "cap", "nu", "j0")
+                "eps_small", "workers", "nu", "j0")
 _REQUIRED_KEYS = ("model", "n", "p", "t", "delta")
 
 
@@ -114,7 +112,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         output_path=values.get("out"),
         eps_small=float(_parse_scalar("eps_small", values.get("eps_small", "0.01"), float)),
         workers=int(_parse_scalar("workers", values.get("workers", "1"), int)),
-        cap=int(_parse_scalar("cap", values.get("cap", str(DEFAULT_DIM_CAP)), int)),
         nu=float(_parse_scalar("nu", values.get("nu", "2.0"), float)),
         j0=float(_parse_scalar("j0", values.get("j0", "1.0"), float)),
     )
@@ -123,6 +120,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def validate_sweep_config(config: SweepConfig) -> None:
+    """Check every key, the output path, then that the labs fit in memory."""
     if config.model not in MODELS:
         raise ConfigError(f"key 'model': unknown model {config.model!r}")
     if not config.n_list:
@@ -131,10 +129,6 @@ def validate_sweep_config(config: SweepConfig) -> None:
         if n < _MIN_SITES[config.model]:
             raise ConfigError(f"key 'n': {config.model} needs at least "
                               f"{_MIN_SITES[config.model]} sites, got {n}")
-        dim = _LOCAL_DIM[config.model] ** n
-        if dim > config.cap:
-            raise ConfigError(f"key 'n': {config.model} N={n} has Hilbert dimension "
-                              f"{dim}, above the cap {config.cap}")
     if not config.p_list or any(p not in _ORDERS for p in config.p_list):
         raise ConfigError(f"key 'p': orders must be among {_ORDERS}")
     if not config.t_list or not all(0 <= t < math.inf for t in config.t_list):
@@ -145,22 +139,31 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError("key 'eps_small': must lie in (0, 1)")
     if config.workers < 1:
         raise ConfigError("key 'workers': must be at least 1")
-    if config.cap < 4:
-        raise ConfigError("key 'cap': must be at least 4")
     if not (0 <= config.nu < math.inf and 0 < config.j0 < math.inf):
         raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
     for key, entries in (("n", config.n_list), ("p", config.p_list),
                          ("t", config.t_list), ("delta", config.delta_list)):
         if len(set(entries)) != len(entries):
             raise ConfigError(f"key {key!r}: repeated entry in {entries}")
+    _check_output_path(config.output_path)
+    # each worker holds one lab, so the largest `workers` labs run at once
+    try:
+        needs = sorted(((lab_bytes(_build_model(config.model, n, config.nu, config.j0),
+                                   config.p_list), n) for n in config.n_list),
+                       reverse=True)[:config.workers]
+        require_memory(sum(need for need, _ in needs),
+                       f"{config.model} N={', '.join(str(n) for _, n in needs)} "
+                       f"at p={max(config.p_list)}")
+    except ValueError as exc:
+        raise ConfigError(f"key 'n': {exc}") from exc
 
 
-def _build_model(model: str, n: int, cap: int, nu: float, j0: float):
+def _build_model(model: str, n: int, nu: float, j0: float):
     if model == "aklt":
-        return build_aklt(n, dim_cap=cap)
+        return build_aklt(n)
     if model == "mg":
-        return build_mg(n, dim_cap=cap)
-    return build_long_range_heisenberg(n, nu, j0, dim_cap=cap)
+        return build_mg(n)
+    return build_long_range_heisenberg(n, nu, j0)
 
 
 def _empty_row() -> dict:
@@ -168,7 +171,7 @@ def _empty_row() -> dict:
 
 
 def _task_rows(config: SweepConfig, n: int) -> list[dict]:
-    spec = _build_model(config.model, n, config.cap, config.nu, config.j0)
+    spec = _build_model(config.model, n, config.nu, config.j0)
     lab = ErrorLab(spec)
     g = extensiveness(spec)
     k = spec.locality_k
@@ -257,7 +260,6 @@ def _write_atomic(path: str, text: str) -> None:
 def run_sweep(config: SweepConfig) -> str:
     """Evaluate the grid, return (and optionally write) the sorted CSV."""
     validate_sweep_config(config)
-    _check_output_path(config.output_path)
     tasks = [(config, n) for n in config.n_list]
     if config.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -351,6 +353,7 @@ def run_bounds(text: str) -> tuple[str, list[str]]:
 
 
 def _cmd_sweep(args) -> int:
+    _check_output_path(args.out)
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -362,8 +365,6 @@ def _cmd_sweep(args) -> int:
         overrides["output_path"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.cap is not None:
-        overrides["cap"] = args.cap
     if overrides:
         config = replace(config, **overrides)
         validate_sweep_config(config)
@@ -392,6 +393,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_output_path(args.out)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     results = run_verify(seed=args.seed if args.seed is not None else 0)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -410,9 +413,8 @@ def _cmd_dump_model(args) -> int:
         raise ConfigError(f"unknown model {args.model!r}")
     if args.n < _MIN_SITES[args.model]:
         raise ConfigError(f"{args.model} needs at least {_MIN_SITES[args.model]} sites")
-    cap = args.cap if args.cap is not None else DEFAULT_DIM_CAP
     try:
-        spec = _build_model(args.model, args.n, cap, args.nu, args.j0)
+        spec = _build_model(args.model, args.n, args.nu, args.j0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     text = spec_to_json(spec) + "\n"
@@ -433,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("config", help="flat key = value config file")
     sweep.add_argument("--out", help="output CSV path (overrides the config)")
     sweep.add_argument("--workers", type=int, help="parallel workers over chain sizes")
-    sweep.add_argument("--cap", type=int, help="Hilbert dimension cap")
     sweep.set_defaults(func=_cmd_sweep)
 
     bounds = sub.add_parser("bounds", help="evaluate bound formulas for input rows")
@@ -451,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--n", required=True, type=int, help="number of sites")
     dump.add_argument("--nu", type=float, default=2.0, help="long-range decay exponent")
     dump.add_argument("--j0", type=float, default=1.0, help="long-range base coupling")
-    dump.add_argument("--cap", type=int, help="Hilbert dimension cap")
     dump.add_argument("--out", help="output path (default stdout)")
     dump.set_defaults(func=_cmd_dump_model)
     return parser

@@ -15,12 +15,28 @@ import math
 import numpy as np
 from numpy.linalg import eigh
 
-from .formulas import FormulaPlan, apply_plan
-from .lattice import HamiltonianSpec, extensiveness
+from .formulas import FormulaPlan, apply_plan, suzuki_plan
+from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
 from .operators import _matrix_norm, assemble, embed, low_energy_mask
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
+# dim x dim arrays for H, its eigenvectors, the eigh workspace and temporaries:
+# the smallest count that keeps lab_bytes 5% above every measured ru_maxrss
+# rise (AKLT N=6, 7; MG N=10, 11; lr N=10; p = 1 to 6; cutoffs 1.0 and inf).
+LAB_EXTRA_MATRICES = 6
+
+
+def lab_bytes(spec: HamiltonianSpec, orders=()) -> int:
+    """Peak bytes of an ``ErrorLab`` running ``orders``: 16 dim^2 (2 Gamma + K + 6).
+
+    2 Gamma counts the group Hamiltonians and their eigenvectors, K the
+    distinct stage unitaries ``apply_plan`` caches for the largest order.
+    """
+    gamma = spec.gamma_count
+    stages = max((len(set(suzuki_plan(p, gamma).stages)) for p in orders), default=0)
+    matrices = 2 * gamma + stages + LAB_EXTRA_MATRICES
+    return COMPLEX_BYTES * spec.lattice.hilbert_dim ** 2 * matrices
 
 
 class ErrorLab:
@@ -31,6 +47,8 @@ class ErrorLab:
     """
 
     def __init__(self, spec: HamiltonianSpec):
+        require_memory(lab_bytes(spec),
+                       f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
         self.hamiltonian, parts = assemble(spec)
         self.spectrum = eigh(self.hamiltonian)
@@ -148,6 +166,8 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
     dim = spec.lattice.hilbert_dim
     if basis is not None and basis.shape[0] != dim:
         raise ValueError("basis dimension does not match the spec")
+    if basis is not None and basis.shape[1] == 0:
+        return 0.0  # every projected leaf is a 0 x 0 block
     embedded = [embed(term, spec.lattice) for term in spec.terms]
     supports = [set(term.support) for term in spec.terms]
     total = 0.0

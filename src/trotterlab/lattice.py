@@ -24,6 +24,7 @@ terms, so every spectrum starts at or above zero.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .embedding import embed_block
 
-DEFAULT_DIM_CAP = 20000
+COMPLEX_BYTES = np.dtype(complex).itemsize
 
 HERMITICITY_TOL = 1e-12
 PSD_MARGIN_FACTOR = 1e-10
@@ -61,22 +62,38 @@ def spin_matrices(local_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
+def physical_memory() -> int:
+    """Total physical memory of the machine in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the machine's physical memory."""
+    have = physical_memory()
+    if need > have:
+        raise ValueError(f"{what} needs {need} bytes, more than the {have} bytes "
+                         "of physical memory")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Open chain of ``num_sites`` sites with ``local_dim`` states each."""
+    """Open chain of ``num_sites`` sites with ``local_dim`` states each.
+
+    Everything built on a lattice is dense, so a lattice is refused when one
+    dim x dim complex matrix would not fit in physical memory.
+    """
 
     num_sites: int
     local_dim: int
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         if self.num_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.num_sites}")
         if self.local_dim < 2:
             raise ValueError(f"need local_dim >= 2, got {self.local_dim}")
-        if self.hilbert_dim > self.dim_cap:
-            raise ValueError(
-                f"Hilbert dimension {self.hilbert_dim} exceeds cap {self.dim_cap}")
+        dim = self.hilbert_dim
+        require_memory(COMPLEX_BYTES * dim ** 2,
+                       f"a {self.num_sites}-site lattice (one dense {dim}x{dim} complex matrix)")
 
     @property
     def hilbert_dim(self) -> int:
@@ -187,20 +204,20 @@ def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.nd
     return cols @ cols.conj().T
 
 
-def build_aklt(num_sites: int, dim_cap: int = DEFAULT_DIM_CAP) -> HamiltonianSpec:
+def build_aklt(num_sites: int) -> HamiltonianSpec:
     """AKLT chain: bond projectors onto two-site total spin 2 (eigenvalue 6)."""
-    lattice = LatticeSpec(num_sites, 3, dim_cap=dim_cap)
+    lattice = LatticeSpec(num_sites, 3)
     block = spin_sector_projector(2, 3, 6.0)
     terms = tuple(LocalTerm((i, i + 1), block) for i in range(num_sites - 1))
     partition = tuple(1 if i % 2 == 0 else 2 for i in range(num_sites - 1))
     return HamiltonianSpec(lattice, terms, partition, locality_k=2, model_tag="aklt")
 
 
-def build_mg(num_sites: int, dim_cap: int = DEFAULT_DIM_CAP) -> HamiltonianSpec:
+def build_mg(num_sites: int) -> HamiltonianSpec:
     """Majumdar-Ghosh chain: three-site projectors onto total spin 3/2."""
     if num_sites < 3:
         raise ValueError("Majumdar-Ghosh chain needs at least 3 sites")
-    lattice = LatticeSpec(num_sites, 2, dim_cap=dim_cap)
+    lattice = LatticeSpec(num_sites, 2)
     block = spin_sector_projector(3, 2, 15 / 4)
     terms = tuple(LocalTerm((i, i + 1, i + 2), block) for i in range(num_sites - 2))
     partition = tuple(i % 3 + 1 for i in range(num_sites - 2))
@@ -208,8 +225,7 @@ def build_mg(num_sites: int, dim_cap: int = DEFAULT_DIM_CAP) -> HamiltonianSpec:
 
 
 def build_long_range_heisenberg(num_sites: int, decay_exponent: float,
-                                base_coupling: float = 1.0,
-                                dim_cap: int = DEFAULT_DIM_CAP) -> HamiltonianSpec:
+                                base_coupling: float = 1.0) -> HamiltonianSpec:
     """Power-law Heisenberg chain of PSD pair terms, one group per Pauli axis.
 
     Pair (i, j) carries J0 * (j - i)**(-nu) * (P_i P_j + 1)/2 for each Pauli
@@ -220,7 +236,7 @@ def build_long_range_heisenberg(num_sites: int, decay_exponent: float,
         raise ValueError("decay exponent must be finite and nonnegative")
     if not (np.isfinite(base_coupling) and base_coupling > 0):
         raise ValueError("base coupling must be finite and positive")
-    lattice = LatticeSpec(num_sites, 2, dim_cap=dim_cap)
+    lattice = LatticeSpec(num_sites, 2)
     eye4 = np.eye(4, dtype=complex)
     axis_blocks = [(np.kron(p, p) + eye4) / 2 for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     terms: list[LocalTerm] = []
@@ -255,8 +271,8 @@ def long_range_extensiveness(num_sites: int, decay_exponent: float,
                              base_coupling: float = 1.0) -> float:
     """Extensiveness of the long-range Heisenberg model from coupling sums only.
 
-    Avoids any Hilbert-space assembly, so it is usable far beyond the
-    dimension cap.
+    Avoids any Hilbert-space assembly, so it is usable at chain lengths whose
+    lattice would not fit in memory.
     """
     best = 0.0
     for i in range(num_sites):
@@ -378,13 +394,13 @@ def spec_to_json(spec: HamiltonianSpec) -> str:
     return json.dumps(payload, indent=2)
 
 
-def spec_from_json(text: str, dim_cap: int = DEFAULT_DIM_CAP) -> HamiltonianSpec:
+def spec_from_json(text: str) -> HamiltonianSpec:
     """Inverse of :func:`spec_to_json`.
 
     The locality is reconstructed as the largest support size in the file.
     """
     payload = json.loads(text)
-    lattice = LatticeSpec(int(payload["N"]), int(payload["local_dim"]), dim_cap=dim_cap)
+    lattice = LatticeSpec(int(payload["N"]), int(payload["local_dim"]))
     terms = []
     for entry in payload["terms"]:
         block = np.asarray(entry["block_real"], dtype=float) \

@@ -6,7 +6,7 @@ import os
 import pytest
 
 import trotterlab as tl
-from trotterlab import cli
+from trotterlab import cli, lattice
 
 EXPECTED_HEADER = ("model,N,p,Gamma,t,delta,error_kind,error_value,"
                    "bound_cor_s4,bound_thm_s3,delta_prime,p0,"
@@ -62,7 +62,8 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nseed = 3", "unknown key"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = 1.5", "(0, 1)"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "at least 1"),
-    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "above the cap"),
+    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
+    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1\ncap = 60000", "unknown key"),
     ("model = mg\nn = 4, 4\np = 1\nt = 0.1\ndelta = 1", "repeated entry"),
     ("model = mg\nn = 4\np = 1, 1\nt = 0.1\ndelta = 1", "repeated entry"),
     ("model = mg\nn = 4\np = 1\nt = 0.1, 0.1\ndelta = 1", "repeated entry"),
@@ -74,11 +75,21 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(info.value)
 
 
-def test_cap_override_admits_larger_chain():
-    # validation only; nothing is built here
-    text = "model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1\ncap = 60000"
-    config = cli.parse_sweep_config(text)
-    assert config.cap == 60000
+def test_admission_follows_orders_and_workers(monkeypatch):
+    # MG N=6: 16 * 64^2 * (2*3 + K + 6) bytes with K = 3 at p = 1, 12 at p = 6;
+    # MG N=5 needs a quarter of that per matrix
+    unit = 16 * 64 ** 2
+    monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * unit)
+    base = "model = mg\nt = 0.1\ndelta = 1\n"
+    assert cli.parse_sweep_config(base + "n = 6\np = 1").p_list == (1,)
+    with pytest.raises(cli.ConfigError, match=f"needs {24 * unit} bytes, more than "
+                                              f"the {16 * unit} bytes"):
+        cli.parse_sweep_config(base + "n = 6\np = 1, 6")
+    # two workers hold the two labs at once: 15 units for N=6 plus 15/4 for N=5
+    assert cli.parse_sweep_config(base + "n = 5, 6\np = 1").workers == 1
+    both = 15 * unit + 15 * unit // 4
+    with pytest.raises(cli.ConfigError, match=f"N=6, 5 at p=1 needs {both} bytes"):
+        cli.parse_sweep_config(base + "n = 5, 6\np = 1\nworkers = 2")
 
 
 # -------------------------------------------------------------- sweeps
@@ -265,6 +276,8 @@ def test_main_usage_error_exits_two(capsys):
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+    assert cli.main(["verify", "--seed", "-1"]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_main_bounds_rejection_exits_one(tmp_path, capsys):
@@ -302,12 +315,18 @@ def test_main_dump_model_round_trip(tmp_path):
     assert tl.spec_to_json(spec) + "\n" == text
 
 
-def test_main_dump_model_rejects_small_chain(capsys):
+def test_main_dump_model_rejects_small_chain(monkeypatch, capsys):
     assert cli.main(["dump-model", "--model", "mg", "--n", "2"]) == 2
     assert "at least" in capsys.readouterr().err
     assert cli.main(["dump-model", "--model", "lr_heisenberg", "--n", "3",
                      "--nu", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
+    # a lattice whose dense matrix exceeds physical memory is refused too
+    monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * 3 ** 12)
+    assert cli.main(["dump-model", "--model", "aklt", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert cli.main(["dump-model", "--model", "aklt", "--n", "7"]) == 2
+    assert f"needs {16 * 3 ** 14} bytes, more than the {16 * 3 ** 12}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "bounds", "verify", "dump-model"])

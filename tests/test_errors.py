@@ -6,6 +6,9 @@ projectors of ``oracle_dense``, the propagators through
 brute-force enumeration of ``oracle_dense``.
 """
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ import scipy.linalg
 
 import oracle_dense
 import trotterlab as tl
+from trotterlab import errors, lattice
+from trotterlab.errors import lab_bytes
 
 
 def test_full_error_against_expm_oracle(lab_cache):
@@ -155,6 +160,14 @@ def test_nested_commutator_sum_zero_for_commuting():
     assert tl.nested_commutator_sum(spec, 1) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_nested_commutator_sum_skips_empty_block(aklt4, monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("a term was embedded for an empty block")
+
+    monkeypatch.setattr(errors, "embed", no_embedding)
+    assert tl.nested_commutator_sum(aklt4.spec, 2, aklt4.low_column_basis(-1.0)) == 0.0
+
+
 def test_nested_commutator_depth_limits(aklt4):
     with pytest.raises(ValueError, match="depth"):
         tl.nested_commutator_sum(aklt4.spec, 0)
@@ -220,3 +233,60 @@ def test_random_subspace_state_properties(aklt4):
     assert np.linalg.norm(proj @ psi - psi) < 1e-12
     again = aklt4.random_subspace_state(1.0, np.random.default_rng(5))
     np.testing.assert_allclose(again, psi, atol=1e-14)
+
+
+# ----------------------------------------------------- memory admission
+
+def test_lab_bytes_counts_dense_matrices():
+    # 16 dim^2 (2 Gamma + K + 6), K = distinct stages of the largest order
+    aklt, mg = tl.build_aklt(4), tl.build_mg(6)
+    for orders, stages in (((), 0), ((1,), 2), ((2,), 2), ((4,), 4), ((1, 6), 8)):
+        assert lab_bytes(aklt, orders) == 16 * 81 ** 2 * (4 + stages + 6)
+    for orders, stages in (((1,), 3), ((2,), 3), ((4,), 6), ((6, 2), 12)):
+        assert lab_bytes(mg, orders) == 16 * 64 ** 2 * (6 + stages + 6)
+
+
+def test_error_lab_refuses_before_assembly(monkeypatch):
+    spec = tl.build_aklt(4)
+    need = lab_bytes(spec)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the memory check")
+
+    monkeypatch.setattr(errors, "assemble", no_assembly)
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} bytes, more than the {need - 1}"):
+        tl.ErrorLab(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+    assert tl.ErrorLab(spec).spectrum.eigenvalues.size == 81
+
+
+RSS_PROBE = r"""
+import trotterlab as tl
+from trotterlab import cli
+from trotterlab.errors import lab_bytes
+
+def peak_rss():
+    with open("/proc/self/status") as status:
+        return next(1024 * int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+config = cli.parse_sweep_config("model = mg\nn = 9\np = 4\nt = 0.1\ndelta = 1.0, inf")
+before = peak_rss()
+cli.run_sweep(config)
+print(peak_rss() - before, lab_bytes(tl.build_mg(9), (4,)))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_lab_bytes_covers_measured_peak():
+    # A fresh process, so the peak RSS rise is this sweep's alone (MG N=9, dim 512).
+    # VmHWM is the ru_maxrss of the process's own address space: ru_maxrss itself
+    # starts at the parent's peak in a child started from a large process.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(tl.__file__)), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", RSS_PROBE], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    rise, estimate = map(int, out.split())
+    assert 0 < rise <= estimate

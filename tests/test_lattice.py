@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trotterlab as tl
+from trotterlab import lattice
 from trotterlab.lattice import (LatticeSpec, LocalTerm, greedy_partition,
                                 spin_matrices, spin_sector_projector)
 
@@ -223,13 +224,21 @@ def test_local_term_block_immutable():
         term.block[0, 0] = 5.0
 
 
-def test_dimension_cap():
-    with pytest.raises(ValueError, match="cap"):
-        LatticeSpec(10, 3)  # 3^10 = 59049 > 20000
-    assert LatticeSpec(10, 3, dim_cap=60000).hilbert_dim == 59049
-    with pytest.raises(ValueError, match="cap"):
-        tl.build_aklt(10)
-    tl.build_aklt(10, dim_cap=60000)
+def test_dimension_cap(monkeypatch):
+    # a lattice is refused when one dense dim x dim complex matrix exceeds memory
+    text = tl.spec_to_json(tl.build_aklt(7))
+    monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * 3 ** 12)
+    assert LatticeSpec(6, 3).hilbert_dim == 729
+    assert tl.build_aklt(6).lattice.hilbert_dim == 729
+    refused = f"needs {16 * 3 ** 14} bytes, more than the {16 * 3 ** 12} bytes"
+    for build in (lambda: LatticeSpec(7, 3), lambda: tl.build_aklt(7),
+                  lambda: tl.spec_from_json(text)):
+        with pytest.raises(ValueError, match=refused):
+            build()
+    for build in (tl.build_mg, lambda n: tl.build_long_range_heisenberg(n, 2.0)):
+        build(9)
+        with pytest.raises(ValueError, match="bytes of physical memory"):
+            build(10)
 
 
 def test_lattice_spec_rejects_tiny():
