@@ -148,12 +148,10 @@ def validate_sweep_config(config: SweepConfig) -> None:
     _check_output_path(config.output_path)
     # each worker holds one lab, so the largest `workers` labs run at once
     try:
-        needs = sorted(((lab_bytes(_build_model(config.model, n, config.nu, config.j0),
-                                   config.p_list), n) for n in config.n_list),
-                       reverse=True)[:config.workers]
+        needs = sorted(((lab_bytes(_build_model(config.model, n, config.nu, config.j0)), n)
+                        for n in config.n_list), reverse=True)[:config.workers]
         require_memory(sum(need for need, _ in needs),
-                       f"{config.model} N={', '.join(str(n) for _, n in needs)} "
-                       f"at p={max(config.p_list)}")
+                       f"{config.model} N={', '.join(str(n) for _, n in needs)}")
     except ValueError as exc:
         raise ConfigError(f"key 'n': {exc}") from exc
 

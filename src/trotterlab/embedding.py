@@ -15,7 +15,8 @@ def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
 
     ``block`` must act on ``local_dim ** len(where)`` dimensions, its tensor
     factors ordered as listed in ``where`` (most significant first).  The
-    support need not be contiguous.
+    support need not be contiguous.  The result is float64 when the block's
+    imaginary part is exactly zero, complex128 otherwise.
     """
     d = int(local_dim)
     n = int(num_sites)
@@ -25,12 +26,14 @@ def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
     if any(i < 0 or i >= n for i in where):
         raise ValueError(f"support {where} outside chain of {n} sites")
     block = np.asarray(block, dtype=complex)
+    if not block.imag.any():
+        block = block.real
     s = len(where)
     if block.shape != (d ** s, d ** s):
         raise ValueError(
             f"block of shape {block.shape} does not act on {s} sites of dimension {d}")
     rest = [i for i in range(n) if i not in set(where)]
-    full = np.kron(block, np.eye(d ** (n - s), dtype=complex))
+    full = np.kron(block, np.eye(d ** (n - s), dtype=block.dtype))
     order = where + rest
     if order == list(range(n)):
         return full

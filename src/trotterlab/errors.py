@@ -5,8 +5,9 @@ P projects onto eigenstates with energy at most delta.  It depends only on
 the block V of those eigenvectors, since exp(-iHt) V = V exp(-iEt): the
 error is ||V exp(-iEt) - T_p(t) V||, and with every column it is the full
 norm, as V is then unitary.  ``ErrorLab`` caches the assembled Hamiltonian,
-its spectrum and the group spectra so that sweeps over (p, t, delta) only
-pay for stage products on the block and norms.
+its spectrum, the group spectra and the transitions between group
+eigenbases, so that sweeps over (p, t, delta) only pay for phases and
+transitions on the block and norms.
 """
 from __future__ import annotations
 
@@ -15,35 +16,41 @@ import math
 import numpy as np
 from numpy.linalg import eigh
 
-from .formulas import FormulaPlan, apply_plan, suzuki_plan
+from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
 from .operators import _matrix_norm, assemble, embed, low_energy_mask
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
-# dim x dim arrays for H, its eigenvectors, the eigh workspace and temporaries:
-# the smallest count that keeps lab_bytes 5% above every measured ru_maxrss
-# rise (AKLT N=6, 7; MG N=10, 11; lr N=10; p = 1 to 6; cutoffs 1.0 and inf).
-LAB_EXTRA_MATRICES = 6
+# complex dim x dim blocks of a full error (the difference, the Trotter side,
+# the Gram matrix and its eigvalsh copy): the smallest count that keeps
+# lab_bytes 5% above every measured peak RSS rise (AKLT N=6, 7; MG N=9, 10,
+# 11; lr N=9, 10; p = 1 to 6; cutoffs 1.0 and inf).
+LAB_COMPLEX_BLOCKS = 4
 
 
-def lab_bytes(spec: HamiltonianSpec, orders=()) -> int:
-    """Peak bytes of an ``ErrorLab`` running ``orders``: 16 dim^2 (2 Gamma + K + 6).
+def lab_bytes(spec: HamiltonianSpec) -> int:
+    """Peak bytes of an ``ErrorLab``: dim^2 (s (2 Gamma + Gamma (Gamma - 1)/2 + 2) + 16 B).
 
-    2 Gamma counts the group Hamiltonians and their eigenvectors, K the
-    distinct stage unitaries ``apply_plan`` caches for the largest order.
+    s is the itemsize of ``spec.dtype`` (8 when every term is real, else 16).
+    It counts H and its eigenvectors, the Gamma group Hamiltonians and their
+    eigenvectors, and the transitions between group eigenbases; B =
+    ``LAB_COMPLEX_BLOCKS`` complex blocks hold a full error's working set.
     """
     gamma = spec.gamma_count
-    stages = max((len(set(suzuki_plan(p, gamma).stages)) for p in orders), default=0)
-    matrices = 2 * gamma + stages + LAB_EXTRA_MATRICES
-    return COMPLEX_BYTES * spec.lattice.hilbert_dim ** 2 * matrices
+    matrices = 2 * gamma + gamma * (gamma - 1) // 2 + 2
+    entries = spec.lattice.hilbert_dim ** 2
+    return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
 
 
 class ErrorLab:
     """Spectra cache plus error evaluators for one Hamiltonian spec.
 
-    Keeps H and the ``eigh`` results of H and of each group's partial
-    Hamiltonian; the partial Hamiltonians themselves are dropped.
+    Keeps H, the ``eigh`` results of H and of each group's partial
+    Hamiltonian, and the transitions between group eigenbases that
+    ``apply_plan`` builds (at most Gamma (Gamma - 1)/2, each once); the
+    partial Hamiltonians themselves are dropped.  Everything is float64
+    when every term block is real, complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -53,6 +60,7 @@ class ErrorLab:
         self.hamiltonian, parts = assemble(spec)
         self.spectrum = eigh(self.hamiltonian)
         self.part_spectra = tuple(eigh(p) for p in parts)
+        self.transitions: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def max_energy(self) -> float:
@@ -79,11 +87,11 @@ class ErrorLab:
             raise ValueError("need at least one step")
         counts = [self._column_count(delta) for delta in deltas]
         block = self.spectrum.eigenvectors[:, :max(counts, default=0)]
-        exact = block * np.exp(-1j * t * self.spectrum.eigenvalues[:block.shape[1]])
-        # the plan repeated steps times at t/steps: each stage exponential is built once
+        diff = block * np.exp(-1j * t * self.spectrum.eigenvalues[:block.shape[1]])
+        # the plan repeated steps times at t/steps
         stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps,
                               plan.cycles * steps)
-        diff = exact - apply_plan(stepped, self.part_spectra, t / steps, block)
+        diff -= apply_plan(stepped, self.part_spectra, t / steps, block, self.transitions)
         return [_matrix_norm(diff[:, :m]) for m in counts]
 
     def full_error(self, plan: FormulaPlan, t: float) -> float:

@@ -16,17 +16,23 @@ with u_k = 1 / (4 - 4**(1/(2k-1))).  Each group's coefficients sum to one,
 every coefficient has magnitude at most one, and the stage count is
 cycles(p) * Gamma with cycles(1) = 1 and cycles(p) = 2 * 5**(p/2 - 1) for
 even p.  A plan of order p approximates exp(-iHt) to O(t**(p+1)).
+
+``apply_plan`` never builds a stage unitary: a stage is a diagonal phase in
+its group's eigenbasis, and the block crosses between eigenbases through
+V_b^dag V_a, real whenever the group Hamiltonians are.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .operators import evolve
+from .operators import apply_matrix
 
 if TYPE_CHECKING:
     from .errors import ErrorLab
@@ -93,21 +99,42 @@ def validate_plan(plan: FormulaPlan) -> None:
             raise ValueError(f"group {gamma} coefficients sum to {total}, not 1")
 
 
-def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray) -> np.ndarray:
-    """T_p(t) @ block, each stage exponential built once per (group, coefficient)."""
+def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
+               transitions: dict | None = None) -> np.ndarray:
+    """T_p(t) @ block for a dim x m block, each stage a phase in its group's eigenbasis.
+
+    The block moves into the eigenbasis V_gamma of the first stage's group;
+    a stage multiplies by exp(-i alpha t lambda_gamma), a change of group by
+    the transition V_b^dag V_a, and the last group's V maps the block back.
+    Consecutive stages of one group merge.  ``transitions`` caches
+    V_a^dag V_b for a < b (the other direction is its adjoint); pass the
+    same dict to reuse them across calls.
+    """
     if len(parts_spectra) != plan.gamma_count:
         raise ValueError(
             f"plan wants {plan.gamma_count} group spectra, got {len(parts_spectra)}")
     dim = parts_spectra[0].eigenvalues.size
     if any(sd.eigenvalues.size != dim for sd in parts_spectra):
         raise ValueError("group spectra have inconsistent dimensions")
-    stage_cache: dict[tuple[int, float], np.ndarray] = {}
-    for gamma, alpha in plan.stages:
-        key = (gamma, alpha)
-        if key not in stage_cache:
-            stage_cache[key] = evolve(parts_spectra[gamma - 1], alpha * t)
-        block = stage_cache[key] @ block
-    return block
+    if np.ndim(block) != 2 or block.shape[0] != dim:
+        raise ValueError(f"block must have shape ({dim}, m), got {np.shape(block)}")
+    if transitions is None:
+        transitions = {}
+    runs = [(gamma, sum(alpha for _, alpha in stages))
+            for gamma, stages in groupby(plan.stages, key=itemgetter(0))]
+    current = runs[0][0]
+    block = apply_matrix(parts_spectra[current - 1].eigenvectors.conj().T, block)
+    for gamma, alpha in runs:
+        if gamma != current:
+            low, high = sorted((current, gamma))
+            if (low, high) not in transitions:
+                transitions[low, high] = (parts_spectra[low - 1].eigenvectors.conj().T
+                                          @ parts_spectra[high - 1].eigenvectors)
+            step = transitions[low, high]
+            block = apply_matrix(step if gamma < current else step.conj().T, block)
+            current = gamma
+        block = block * np.exp(-1j * alpha * t * parts_spectra[gamma - 1].eigenvalues)[:, None]
+    return apply_matrix(parts_spectra[current - 1].eigenvectors, block)
 
 
 @dataclass(frozen=True)

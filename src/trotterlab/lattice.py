@@ -180,6 +180,12 @@ class HamiltonianSpec:
     def gamma_count(self) -> int:
         return len(set(self.partition))
 
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when every term block has imaginary part exactly 0, else complex128."""
+        real = not any(term.block.imag.any() for term in self.terms)
+        return np.dtype(float if real else complex)
+
 
 def _total_spin_squared(n_sites: int, local_dim: int) -> np.ndarray:
     ops = spin_matrices(local_dim)

@@ -1,10 +1,12 @@
 """Dense operator engine: embedding, assembly, propagators, projectors, norms.
 
-Every operator is a dense complex128 ndarray, and every spectrum is the
-result of ``np.linalg.eigh`` (ascending ``eigenvalues``, orthonormal
-``eigenvectors`` columns).  Spectral norms come from the Hermitian
-eigendecomposition of A^dag A; propagators from the eigendecomposition of
-the (Hermitian) generator, reused across times.
+Every operator is a dense ndarray: float64 when every term block of its
+spec is real (all built-in models), complex128 otherwise.  Every spectrum
+is the result of ``np.linalg.eigh`` (ascending ``eigenvalues``, orthonormal
+``eigenvectors`` columns), so a real Hamiltonian has real eigenvectors.
+Spectral norms come from the Hermitian eigendecomposition of A^dag A;
+propagators from the eigendecomposition of the (Hermitian) generator,
+reused across times.
 """
 from __future__ import annotations
 
@@ -22,10 +24,10 @@ def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
 
 
 def assemble(spec: HamiltonianSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum of all embedded terms plus the per-group partial Hamiltonians."""
-    dim = spec.lattice.hilbert_dim
-    total = np.zeros((dim, dim), dtype=complex)
-    partials = [np.zeros((dim, dim), dtype=complex) for _ in range(spec.gamma_count)]
+    """Sum of all embedded terms plus the per-group partial Hamiltonians, of ``spec.dtype``."""
+    dim, dtype = spec.lattice.hilbert_dim, spec.dtype
+    total = np.zeros((dim, dim), dtype=dtype)
+    partials = [np.zeros((dim, dim), dtype=dtype) for _ in range(spec.gamma_count)]
     for term, gamma in zip(spec.terms, spec.partition):
         emb = embed(term, spec.lattice)
         total += emb
@@ -38,6 +40,14 @@ def evolve(spectrum, t: float) -> np.ndarray:
     phases = np.exp(-1j * t * spectrum.eigenvalues)
     v = spectrum.eigenvectors
     return (v * phases) @ v.conj().T
+
+
+def apply_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a block x; a real ``a`` acts on a complex x as one real product."""
+    if a.dtype != np.float64 or x.dtype != np.complex128:
+        return a @ x
+    # the float64 view interleaves real and imaginary parts along each row
+    return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 def _matrix_norm(a: np.ndarray) -> float:

@@ -4,8 +4,9 @@ Random PSD local terms on up to five qubits are grouped by
 ``greedy_partition``; for random (p, t, cutoffs, steps) the block errors of
 ``ErrorLab.errors`` must match the dense propagator difference of
 ``oracle_dense``, and the projected commutator sums on the block must match
-the projector sandwich.  Examples are derandomized so the suite stays
-deterministic.
+the projector sandwich.  Complex Hermitian terms run in complex128 and
+real-symmetric ones in float64; both are drawn.  Examples are derandomized
+so the suite stays deterministic.
 """
 import math
 
@@ -21,7 +22,7 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
 
 
 @st.composite
-def random_specs(draw) -> tl.HamiltonianSpec:
+def random_specs(draw, real: bool = False) -> tl.HamiltonianSpec:
     num_sites = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     lattice = tl.LatticeSpec(num_sites, 2)
@@ -29,18 +30,24 @@ def random_specs(draw) -> tl.HamiltonianSpec:
     for _ in range(draw(st.integers(1, 5))):
         size = draw(st.integers(1, 2))
         support = tuple(sorted(rng.choice(num_sites, size=size, replace=False).tolist()))
-        raw = rng.standard_normal((2 ** size,) * 2) + 1j * rng.standard_normal((2 ** size,) * 2)
+        raw = rng.standard_normal((2 ** size,) * 2)
+        if not real:
+            raw = raw + 1j * rng.standard_normal((2 ** size,) * 2)
         terms.append(tl.LocalTerm(support, raw @ raw.conj().T / 2 ** size))
     partition = tl.greedy_partition(lattice, terms)
     locality = max(len(term.support) for term in terms)
-    return tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality)
+    spec = tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality)
+    assert spec.dtype == (np.float64 if real else np.complex128)
+    return spec
 
 
-@PROPERTY_SETTINGS
-@given(spec=random_specs(), order_p=st.sampled_from((1, 2, 4, 6)),
-       t=st.floats(0.0, 1.0), fractions=st.lists(st.floats(0.0, 1.0), max_size=3),
-       inf_at=st.integers(0, 3), steps=st.integers(1, 3))
-def test_block_errors_match_dense_oracle(spec, order_p, t, fractions, inf_at, steps):
+ERROR_DRAWS = dict(order_p=st.sampled_from((1, 2, 4, 6)), t=st.floats(0.0, 1.0),
+                   fractions=st.lists(st.floats(0.0, 1.0), max_size=3),
+                   inf_at=st.integers(0, 3), steps=st.integers(1, 3))
+COMMUTATOR_DRAWS = dict(depth=st.integers(1, 3), fraction=st.floats(0.0, 1.0))
+
+
+def check_errors(spec, order_p, t, fractions, inf_at, steps):
     lab = tl.ErrorLab(spec)
     plan = tl.suzuki_plan(order_p, spec.gamma_count)
     deltas = [f * lab.max_energy for f in fractions]
@@ -50,9 +57,7 @@ def test_block_errors_match_dense_oracle(spec, order_p, t, fractions, inf_at, st
     assert block == pytest.approx(dense, rel=0, abs=1e-12)
 
 
-@PROPERTY_SETTINGS
-@given(spec=random_specs(), depth=st.integers(1, 3), fraction=st.floats(0.0, 1.0))
-def test_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
+def check_commutator_sum(spec, depth, fraction):
     lab = tl.ErrorLab(spec)
     delta = fraction * lab.max_energy
     block = tl.nested_commutator_sum(spec, depth, lab.low_column_basis(delta))
@@ -60,3 +65,27 @@ def test_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
     # sums that vanish exactly (one low eigenvector, depth 1) leave round-off
     # on both sides, hence the small absolute floor
     assert block == pytest.approx(dense, rel=1e-12, abs=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(spec=random_specs(), **ERROR_DRAWS)
+def test_block_errors_match_dense_oracle(spec, order_p, t, fractions, inf_at, steps):
+    check_errors(spec, order_p, t, fractions, inf_at, steps)
+
+
+@PROPERTY_SETTINGS
+@given(spec=random_specs(real=True), **ERROR_DRAWS)
+def test_real_block_errors_match_dense_oracle(spec, order_p, t, fractions, inf_at, steps):
+    check_errors(spec, order_p, t, fractions, inf_at, steps)
+
+
+@PROPERTY_SETTINGS
+@given(spec=random_specs(), **COMMUTATOR_DRAWS)
+def test_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
+    check_commutator_sum(spec, depth, fraction)
+
+
+@PROPERTY_SETTINGS
+@given(spec=random_specs(real=True), **COMMUTATOR_DRAWS)
+def test_real_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
+    check_commutator_sum(spec, depth, fraction)

@@ -76,19 +76,21 @@ def test_parse_rejects(text, fragment):
 
 
 def test_admission_follows_orders_and_workers(monkeypatch):
-    # MG N=6: 16 * 64^2 * (2*3 + K + 6) bytes with K = 3 at p = 1, 12 at p = 6;
-    # MG N=5 needs a quarter of that per matrix
-    unit = 16 * 64 ** 2
-    monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * unit)
+    # MG N=6 needs 64^2 (8 * 11 + 16 * 4) bytes at every order: no stage
+    # unitary is cached; MG N=5 needs a quarter of that
+    need = 64 ** 2 * (8 * 11 + 16 * 4)
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need)
     base = "model = mg\nt = 0.1\ndelta = 1\n"
     assert cli.parse_sweep_config(base + "n = 6\np = 1").p_list == (1,)
-    with pytest.raises(cli.ConfigError, match=f"needs {24 * unit} bytes, more than "
-                                              f"the {16 * unit} bytes"):
-        cli.parse_sweep_config(base + "n = 6\np = 1, 6")
-    # two workers hold the two labs at once: 15 units for N=6 plus 15/4 for N=5
-    assert cli.parse_sweep_config(base + "n = 5, 6\np = 1").workers == 1
-    both = 15 * unit + 15 * unit // 4
-    with pytest.raises(cli.ConfigError, match=f"N=6, 5 at p=1 needs {both} bytes"):
+    assert cli.parse_sweep_config(base + "n = 6\np = 1, 2, 4, 6").p_list == (1, 2, 4, 6)
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+    with pytest.raises(cli.ConfigError, match=f"needs {need} bytes, more than "
+                                              f"the {need - 1} bytes"):
+        cli.parse_sweep_config(base + "n = 6\np = 1")
+    # two workers hold the two labs at once: N=6 plus a quarter of it for N=5
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need + need // 8)
+    assert cli.parse_sweep_config(base + "n = 5, 6\np = 6").workers == 1
+    with pytest.raises(cli.ConfigError, match=f"N=6, 5 needs {need + need // 4} bytes"):
         cli.parse_sweep_config(base + "n = 5, 6\np = 1\nworkers = 2")
 
 

@@ -57,6 +57,44 @@ def test_projected_error_below_ground_is_zero(aklt4):
     assert aklt4.projected_error(plan, 0.3, -0.5) == 0.0
 
 
+def test_complex_block_assembles_complex_and_matches_oracle():
+    # one term with a nonzero imaginary part makes the whole lab complex128
+    base = tl.build_aklt(3)
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    extra = tl.LocalTerm((1, 2), raw @ raw.conj().T / 9)
+    spec = tl.HamiltonianSpec(base.lattice, base.terms + (extra,),
+                              base.partition + (base.gamma_count + 1,), locality_k=2)
+    assert spec.dtype == np.complex128
+    hamiltonian, parts = tl.assemble(spec)
+    assert hamiltonian.dtype == np.complex128
+    assert all(part.dtype == np.complex128 for part in parts)
+    lab = tl.ErrorLab(spec)
+    assert lab.spectrum.eigenvectors.dtype == np.complex128
+    deltas = (0.1 * lab.max_energy, 0.4 * lab.max_energy, math.inf)
+    for p in (1, 2, 4):
+        plan = tl.suzuki_plan(p, spec.gamma_count)
+        for steps in (1, 2):
+            assert lab.errors(plan, 0.3, deltas, steps) == pytest.approx(
+                oracle_dense.errors(lab, plan, 0.3, deltas, steps), rel=0, abs=1e-12)
+
+
+def test_transitions_built_once_and_empty_block_is_zero():
+    lab = tl.ErrorLab(tl.build_mg(5))
+    plan = tl.suzuki_plan(6, lab.spec.gamma_count)
+    lab.errors(plan, 0.2, (1.0, math.inf))
+    built = dict(lab.transitions)
+    # palindromic plans only step between neighbouring groups
+    assert set(built) == {(1, 2), (2, 3)}
+    lab.errors(plan, 0.7, (0.5, math.inf), steps=2)
+    assert lab.transitions.keys() == built.keys()
+    assert all(lab.transitions[key] is built[key] for key in built)
+    assert lab.errors(plan, 0.3, (-1.0, -0.5)) == [0.0, 0.0]
+    empty = tl.apply_plan(plan, lab.part_spectra, 0.3, lab.low_column_basis(-1.0),
+                          lab.transitions)
+    assert empty.shape == (lab.spectrum.eigenvalues.size, 0)
+
+
 def test_projected_monotone_in_delta_and_below_full(aklt4):
     plan = tl.suzuki_plan(1, 2)
     t = 0.1
@@ -238,12 +276,17 @@ def test_random_subspace_state_properties(aklt4):
 # ----------------------------------------------------- memory admission
 
 def test_lab_bytes_counts_dense_matrices():
-    # 16 dim^2 (2 Gamma + K + 6), K = distinct stages of the largest order
+    # dim^2 (s (2 Gamma + Gamma (Gamma - 1)/2 + 2) + 16 * 4): real matrices at
+    # s = 8 bytes per entry, complex ones at 16; the four complex blocks stay
     aklt, mg = tl.build_aklt(4), tl.build_mg(6)
-    for orders, stages in (((), 0), ((1,), 2), ((2,), 2), ((4,), 4), ((1, 6), 8)):
-        assert lab_bytes(aklt, orders) == 16 * 81 ** 2 * (4 + stages + 6)
-    for orders, stages in (((1,), 3), ((2,), 3), ((4,), 6), ((6, 2), 12)):
-        assert lab_bytes(mg, orders) == 16 * 64 ** 2 * (6 + stages + 6)
+    assert lab_bytes(aklt) == 81 ** 2 * (8 * (4 + 1 + 2) + 16 * 4)
+    assert lab_bytes(mg) == 64 ** 2 * (8 * (6 + 3 + 2) + 16 * 4)
+    y_term = tl.LocalTerm((0, 1), np.kron(lattice.PAULI_Y, lattice.PAULI_Y) + np.eye(4))
+    complex_term = tl.LocalTerm((1, 2), np.kron(lattice.PAULI_X, lattice.PAULI_Y) + np.eye(4))
+    complex_spec = tl.HamiltonianSpec(tl.LatticeSpec(3, 2), (y_term, complex_term),
+                                      (1, 2), 2)
+    assert complex_spec.dtype == np.complex128
+    assert lab_bytes(complex_spec) == 8 ** 2 * (16 * (4 + 1 + 2) + 16 * 4)
 
 
 def test_error_lab_refuses_before_assembly(monkeypatch):
@@ -275,7 +318,7 @@ def peak_rss():
 config = cli.parse_sweep_config("model = mg\nn = 9\np = 4\nt = 0.1\ndelta = 1.0, inf")
 before = peak_rss()
 cli.run_sweep(config)
-print(peak_rss() - before, lab_bytes(tl.build_mg(9), (4,)))
+print(peak_rss() - before, lab_bytes(tl.build_mg(9)))
 """
 
 

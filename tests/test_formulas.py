@@ -111,6 +111,11 @@ def test_apply_plan_input_validation(aklt4):
     plan = tl.suzuki_plan(1, 3)
     with pytest.raises(ValueError, match="group spectra"):
         tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(81))
+    plan = tl.suzuki_plan(1, 2)
+    with pytest.raises(ValueError, match="shape"):
+        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.ones(81))
+    with pytest.raises(ValueError, match="shape"):
+        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(27))
 
 
 def test_error_halving_ratio(mg4):

@@ -11,7 +11,7 @@ import scipy.linalg
 import trotterlab as tl
 from trotterlab.embedding import embed_block
 from trotterlab.lattice import LatticeSpec, LocalTerm
-from trotterlab.operators import low_energy_mask
+from trotterlab.operators import apply_matrix, low_energy_mask
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,6 +93,35 @@ def test_assemble_matches_kron_sum(aklt4):
     np.testing.assert_allclose(hamiltonian, oracle, atol=1e-12)
     np.testing.assert_allclose(sum(parts), oracle, atol=1e-12)
     assert len(parts) == spec.gamma_count
+
+
+def test_built_in_specs_assemble_to_float64():
+    for spec in (tl.build_aklt(3), tl.build_mg(4), tl.build_long_range_heisenberg(4, 2.0)):
+        assert spec.dtype == np.float64
+        hamiltonian, parts = tl.assemble(spec)
+        assert hamiltonian.dtype == np.float64
+        assert all(part.dtype == np.float64 for part in parts)
+        assert all(tl.embed(term, spec.lattice).dtype == np.float64 for term in spec.terms)
+
+
+def test_embed_block_dtype_follows_imaginary_part():
+    real = embed_block(np.kron(PAULI_Y, PAULI_Y), (0, 2), 3, 2)
+    assert real.dtype == np.float64
+    assert embed_block(PAULI_Y, (1,), 3, 2).dtype == np.complex128
+    np.testing.assert_array_equal(real, np.kron(np.kron(PAULI_Y, EYE2), PAULI_Y))
+
+
+def test_apply_matrix_real_on_complex_matches_matmul():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 5))
+    for shape in ((5, 3), (5, 0)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for left in (a, a.T):
+            out = apply_matrix(left, x)
+            assert out.dtype == np.complex128 and out.shape == x.shape
+            np.testing.assert_allclose(out, left @ x, rtol=0, atol=1e-13)
+    x = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    np.testing.assert_allclose(apply_matrix(a, x[:, ::2]), a @ x[:, ::2], rtol=0, atol=1e-13)
 
 
 def test_evolve_matches_expm():
