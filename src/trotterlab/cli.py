@@ -34,6 +34,9 @@ CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_val
 MODELS = ("aklt", "mg", "lr_heisenberg")
 _MIN_SITES = {"aklt": 2, "mg": 3, "lr_heisenberg": 2}
 _ORDERS = (1, 2, 4, 6)
+# largest admitted round-off 2**-53 t N g of a phase exp(-iEt), E <= N g: the
+# 1e-12 gate at which the block route matches the dense oracle
+PHASE_ROUNDOFF_LIMIT = 1e-12
 
 BOUNDS_REQUIRED_COLUMNS = ("N", "k", "g", "Gamma", "p", "delta", "t",
                            "eps_total", "eps_small")
@@ -120,7 +123,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def validate_sweep_config(config: SweepConfig) -> None:
-    """Check every key, the output path, then that the labs fit in memory."""
+    """Check every key, the output path, the labs' memory, then the phase round-off at max t."""
     if config.model not in MODELS:
         raise ConfigError(f"key 'model': unknown model {config.model!r}")
     if not config.n_list:
@@ -148,12 +151,20 @@ def validate_sweep_config(config: SweepConfig) -> None:
     _check_output_path(config.output_path)
     # each worker holds one lab, so the largest `workers` labs run at once
     try:
-        needs = sorted(((lab_bytes(_build_model(config.model, n, config.nu, config.j0)), n)
-                        for n in config.n_list), reverse=True)[:config.workers]
+        specs = {n: _build_model(config.model, n, config.nu, config.j0) for n in config.n_list}
+        needs = sorted(((lab_bytes(spec), n) for n, spec in specs.items()),
+                       reverse=True)[:config.workers]
         require_memory(sum(need for need, _ in needs),
                        f"{config.model} N={', '.join(str(n) for _, n in needs)}")
     except ValueError as exc:
         raise ConfigError(f"key 'n': {exc}") from exc
+    t_max = max(config.t_list)
+    for n, spec in specs.items():
+        roundoff = 2.0 ** -53 * t_max * n * extensiveness(spec)
+        if roundoff > PHASE_ROUNDOFF_LIMIT:
+            raise ConfigError(f"key 't': at t = {t_max!r} the phases exp(-iEt) of "
+                              f"{config.model} N={n} round off by up to {roundoff:.4g}, "
+                              f"above {PHASE_ROUNDOFF_LIMIT:g}")
 
 
 def _build_model(model: str, n: int, nu: float, j0: float):

@@ -1,22 +1,22 @@
-"""Kronecker embedding of local operator blocks into a chain of sites.
+"""Local operator blocks scattered into a chain of sites on basis-index digits.
 
-Convention used throughout the package: site 0 is the most significant
-tensor factor, i.e. the basis index of the full space reads
-``sum_i s_i * d**(n - 1 - i)`` for site states ``s_i``.
+Convention used throughout the package, kept by ``block_entries`` alone:
+site 0 is the most significant digit, i.e. the basis index of the full
+space reads ``sum_i s_i * d**(n - 1 - i)`` for site states ``s_i``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
-                num_sites: int, local_dim: int) -> np.ndarray:
-    """Embed ``block`` acting on the sites in ``where``, identity elsewhere.
+def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int) -> tuple:
+    """Fancy index and values that scatter ``block`` on the sites ``where`` into a matrix.
 
     ``block`` must act on ``local_dim ** len(where)`` dimensions, its tensor
-    factors ordered as listed in ``where`` (most significant first).  The
-    support need not be contiguous.  The result is float64 when the block's
-    imaginary part is exactly zero, complex128 otherwise.
+    factors ordered as listed in ``where`` (most significant first).  Row i
+    holds ``values[i]``, the block row of its support digits, in the columns
+    that swap those digits for each local state's.  The values are float64
+    when the block's imaginary part is exactly zero, complex128 otherwise.
     """
     d = int(local_dim)
     n = int(num_sites)
@@ -32,14 +32,18 @@ def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
     if block.shape != (d ** s, d ** s):
         raise ValueError(
             f"block of shape {block.shape} does not act on {s} sites of dimension {d}")
-    rest = [i for i in range(n) if i not in set(where)]
-    full = np.kron(block, np.eye(d ** (n - s), dtype=block.dtype))
-    order = where + rest
-    if order == list(range(n)):
-        return full
-    # full, reshaped to 2n site axes, carries site order[a] on axis a; permute
-    # so that output axis k carries site k.
-    src = [order.index(site) for site in range(n)]
-    perm = src + [n + a for a in src]
-    out = full.reshape((d,) * (2 * n)).transpose(perm).reshape(d ** n, d ** n)
-    return np.ascontiguousarray(out)
+    weights = d ** (n - 1 - np.array(where, dtype=int))   # place value of each support site
+    local = d ** np.arange(s - 1, -1, -1)
+    rows = np.arange(d ** n)[:, None]
+    digits = rows // weights % d
+    offsets = (np.arange(d ** s)[:, None] // local % d) @ weights
+    return (rows, rows - digits @ weights[:, None] + offsets), block[digits @ local]
+
+
+def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
+                num_sites: int, local_dim: int) -> np.ndarray:
+    """Embed ``block`` on the sites in ``where``, identity elsewhere; see ``block_entries``."""
+    index, values = block_entries(block, where, num_sites, local_dim)
+    out = np.zeros((values.shape[0],) * 2, dtype=values.dtype)
+    out[index] = values
+    return out

@@ -134,14 +134,15 @@ def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
     return op_norm * math.exp(-gap / (4.0 * locality * extensiveness_g))
 
 
-def _tuple_walk(embedded: list[np.ndarray], supports: list[set[int]], depth: int,
-                leaf) -> None:
-    """Depth-first walk over term tuples whose supports chain-overlap.
+def _tuple_walk(spec: HamiltonianSpec, depth: int, leaf) -> None:
+    """Depth-first walk over tuples of embedded terms whose supports chain-overlap.
 
     A nested commutator [h_q, ..., [h_1, h_0]] vanishes identically unless
     each new support intersects the union of the previous ones, so disjoint
     branches are pruned exactly.
     """
+    embedded = [embed(term, spec.lattice) for term in spec.terms]
+    supports = [set(term.support) for term in spec.terms]
     count = len(embedded)
 
     def descend(level: int, current: np.ndarray, union: set[int]) -> None:
@@ -176,8 +177,6 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
         raise ValueError("basis dimension does not match the spec")
     if basis is not None and basis.shape[1] == 0:
         return 0.0  # every projected leaf is a 0 x 0 block
-    embedded = [embed(term, spec.lattice) for term in spec.terms]
-    supports = [set(term.support) for term in spec.terms]
     total = 0.0
 
     def leaf(matrix: np.ndarray) -> None:
@@ -186,7 +185,7 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
             matrix = basis.conj().T @ matrix @ basis
         total += _matrix_norm(matrix)
 
-    _tuple_walk(embedded, supports, depth, leaf)
+    _tuple_walk(spec, depth, leaf)
     return total
 
 
@@ -210,15 +209,13 @@ def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
     residual = psi - low @ (low.conj().T @ psi)
     if np.linalg.norm(residual) > SUBSPACE_TOL:
         raise ValueError(f"state leaks out of the energy-{delta} subspace")
-    embedded = [embed(term, spec.lattice) for term in spec.terms]
-    supports = [set(term.support) for term in spec.terms]
     total = 0.0
 
     def leaf(matrix: np.ndarray) -> None:
         nonlocal total
         total += abs(complex(psi.conj() @ (matrix @ psi)))
 
-    _tuple_walk(embedded, supports, depth, leaf)
+    _tuple_walk(spec, depth, leaf)
     g = extensiveness(spec)
     bound = math.factorial(depth) * (2.0 * spec.locality_k * g) ** depth * delta
     return total, bound

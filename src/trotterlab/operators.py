@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import embed_block
+from .embedding import block_entries, embed_block
 from .lattice import HamiltonianSpec, LatticeSpec, LocalTerm
 
 SPECTRAL_TIE_TOL = 1e-12
@@ -26,12 +26,13 @@ def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
 def assemble(spec: HamiltonianSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum of all embedded terms plus the per-group partial Hamiltonians, of ``spec.dtype``."""
     dim, dtype = spec.lattice.hilbert_dim, spec.dtype
+    n, d = spec.lattice.num_sites, spec.lattice.local_dim
     total = np.zeros((dim, dim), dtype=dtype)
     partials = [np.zeros((dim, dim), dtype=dtype) for _ in range(spec.gamma_count)]
     for term, gamma in zip(spec.terms, spec.partition):
-        emb = embed(term, spec.lattice)
-        total += emb
-        partials[gamma - 1] += emb
+        index, values = block_entries(term.block, term.support, n, d)
+        total[index] += values
+        partials[gamma - 1][index] += values
     return total, partials
 
 

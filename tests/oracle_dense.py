@@ -4,7 +4,8 @@ Every quantity here lives on the full dim x dim space: the exact and the
 Trotter propagators are matrices, steps are a matrix power, the low-energy
 subspace is a projector and a projected commutator leaf is the sandwich
 P C P.  ``ErrorLab`` computes the same numbers on the eigenvector block;
-the tests compare the two routes.
+the tests compare the two routes.  Terms are embedded here by Kronecker
+products and an axis permutation, not by the package's digit scatter.
 """
 import itertools
 import math
@@ -12,6 +13,37 @@ import math
 import numpy as np
 
 import trotterlab as tl
+
+
+def kron_embed(block, where, num_sites, local_dim):
+    """``block`` on the sites ``where`` (first factor first), identity elsewhere.
+
+    kron(block, I) carries the sites ``where + rest`` on its tensor axes;
+    permuting the axes puts site k on axis k.  Float64 when the block's
+    imaginary part is exactly zero, complex128 otherwise.
+    """
+    d, n, where = local_dim, num_sites, list(where)
+    block = np.asarray(block, dtype=complex)
+    if not block.imag.any():
+        block = block.real
+    order = where + [i for i in range(n) if i not in where]
+    full = np.kron(block, np.eye(d ** (n - len(where)), dtype=block.dtype))
+    src = [order.index(site) for site in range(n)]
+    perm = src + [n + a for a in src]
+    out = full.reshape((d,) * (2 * n)).transpose(perm).reshape(d ** n, d ** n)
+    return np.ascontiguousarray(out)
+
+
+def kron_assemble(spec):
+    """H and the group partials as term-order sums of ``kron_embed`` terms."""
+    n, d = spec.lattice.num_sites, spec.lattice.local_dim
+    total = np.zeros((d ** n, d ** n), dtype=spec.dtype)
+    partials = [np.zeros_like(total) for _ in range(spec.gamma_count)]
+    for term, gamma in zip(spec.terms, spec.partition):
+        emb = kron_embed(term.block, term.support, n, d)
+        total += emb
+        partials[gamma - 1] += emb
+    return total, partials
 
 
 def difference(lab, plan, t, steps=1):
@@ -44,7 +76,8 @@ def commutator_sum(spec, depth, proj=None):
     No pruning: tuples with a disjoint support give commutators that vanish
     exactly, so they add zero.
     """
-    embedded = [tl.embed(term, spec.lattice) for term in spec.terms]
+    n, d = spec.lattice.num_sites, spec.lattice.local_dim
+    embedded = [kron_embed(term.block, term.support, n, d) for term in spec.terms]
     total = 0.0
     for tup in itertools.product(range(len(embedded)), repeat=depth + 1):
         mat = embedded[tup[0]]

@@ -244,12 +244,26 @@ def test_main_sweep_stdout_and_exit_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == EXPECTED_HEADER
     assert len(out.splitlines()) == 3
-    # (scale t)**p overflows a float at t = 1e100: vacuous bounds, not a traceback
+    # at t = 1e100 no phase exp(-iEt) has a correct digit: refused, not printed
     path.write_text("model = aklt\nn = 3\np = 4\nt = 1e100\ndelta = 1.0\nbounds = true",
                     encoding="utf-8")
+    assert cli.main(["sweep", str(path)]) == 2
+    assert "round off" in capsys.readouterr().err
+
+
+def test_sweep_time_admitted_up_to_phase_precision(tmp_path, capsys):
+    # AKLT N=3 has N g = 6, so the largest admitted t is 1e-12 * 2**53 / 6 ~ 1501.2
+    assert cli.PHASE_ROUNDOFF_LIMIT * 2.0 ** 53 / 6 == pytest.approx(1501.2, abs=0.1)
+    path = tmp_path / "grid.cfg"
+    base = "model = aklt\nn = 3\np = 4\ndelta = 1.0\nbounds = true\nt = "
+    path.write_text(base + "0.1, 1500", encoding="utf-8")
     assert cli.main(["sweep", str(path)]) == 0
-    (row,) = parse_rows(capsys.readouterr().out)
-    assert row["bound_cor_s4"] == "inf" and row["bound_thm_s3"] == "inf"
+    rows = parse_rows(capsys.readouterr().out)
+    assert [row["t"] for row in rows] == ["0.1", "1500.0"]
+    assert all(0.0 <= float(row["error_value"]) <= 2.0 for row in rows)
+    for times in ("1502", "0.1, 1e100"):
+        with pytest.raises(cli.ConfigError, match=r"key 't': .* aklt N=3 round off"):
+            cli.parse_sweep_config(base + times)
 
 
 def test_main_flag_overrides_config(tmp_path):

@@ -1,8 +1,10 @@
 """Dense-operator layer tests.
 
-Embedding and the matrix exponential are cross-checked against plain
-``np.kron`` chains and ``scipy.linalg.expm``; the spectral norm against
-``np.linalg.norm(A, 2)``.  Site 0 is the most significant tensor factor.
+The digit-scatter embedding is cross-checked against plain ``np.kron``
+chains (``test_embedding_property`` checks it against a general Kronecker
+reference), the matrix exponential against ``scipy.linalg.expm`` and the
+spectral norm against ``np.linalg.norm(A, 2)``.  Site 0 is the most
+significant digit of a basis index.
 """
 import numpy as np
 import pytest
