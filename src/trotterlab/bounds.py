@@ -84,6 +84,8 @@ class BoundInputs:
             raise ValueError("eps_total must be positive")
         if not 0 < self.eps_small < 1:
             raise ValueError("eps_small must lie in (0, 1)")
+        if not math.isfinite(2 * self.num_sites / self.eps_small):
+            raise ValueError("eps_small is too small: 2 N / eps_small is not finite")
         if self.concentration_c <= 0:
             raise ValueError("concentration constant must be positive")
         if self.cycles is None:

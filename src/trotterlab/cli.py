@@ -32,7 +32,6 @@ CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_val
               "time_condition_ok", "formula_id"]
 
 MODELS = ("aklt", "mg", "lr_heisenberg")
-_MIN_SITES = {"aklt": 2, "mg": 3, "lr_heisenberg": 2}
 _ORDERS = (1, 2, 4, 6)
 # largest admitted round-off 2**-53 t N g of a phase exp(-iEt), E <= N g: the
 # 1e-12 gate at which the block route matches the dense oracle
@@ -57,7 +56,6 @@ class SweepConfig:
     bounds: bool = False
     output_path: str | None = None
     eps_small: float = 0.01
-    workers: int = 1
     nu: float = 2.0
     j0: float = 1.0
 
@@ -105,6 +103,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     bounds_text = values.get("bounds", "false").lower()
     if bounds_text not in ("true", "false"):
         raise ConfigError(f"key 'bounds': expected true or false, got {values['bounds']!r}")
+    if _parse_scalar("workers", values.get("workers", "1"), int) != 1:
+        raise ConfigError("key 'workers': sweeps run one chain size at a time, "
+                          "so only 1 is accepted")
     config = SweepConfig(
         model=values["model"],
         n_list=_parse_list("n", values["n"], int),
@@ -114,7 +115,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         bounds=bounds_text == "true",
         output_path=values.get("out"),
         eps_small=float(_parse_scalar("eps_small", values.get("eps_small", "0.01"), float)),
-        workers=int(_parse_scalar("workers", values.get("workers", "1"), int)),
         nu=float(_parse_scalar("nu", values.get("nu", "2.0"), float)),
         j0=float(_parse_scalar("j0", values.get("j0", "1.0"), float)),
     )
@@ -122,16 +122,15 @@ def parse_sweep_config(text: str) -> SweepConfig:
     return config
 
 
-def validate_sweep_config(config: SweepConfig) -> None:
-    """Check every key, the output path, the labs' memory, then the phase round-off at max t."""
+def validate_sweep_config(config: SweepConfig) -> dict:
+    """Check every key, the output path, each lab's memory, then the phase round-off at max t.
+
+    Returns the model of each chain size, ``{n: spec}``, built once here.
+    """
     if config.model not in MODELS:
         raise ConfigError(f"key 'model': unknown model {config.model!r}")
     if not config.n_list:
         raise ConfigError("key 'n': empty list")
-    for n in config.n_list:
-        if n < _MIN_SITES[config.model]:
-            raise ConfigError(f"key 'n': {config.model} needs at least "
-                              f"{_MIN_SITES[config.model]} sites, got {n}")
     if not config.p_list or any(p not in _ORDERS for p in config.p_list):
         raise ConfigError(f"key 'p': orders must be among {_ORDERS}")
     if not config.t_list or not all(0 <= t < math.inf for t in config.t_list):
@@ -140,8 +139,6 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError("key 'delta': need a nonempty list of cutoffs >= 0 or inf")
     if not 0 < config.eps_small < 1:
         raise ConfigError("key 'eps_small': must lie in (0, 1)")
-    if config.workers < 1:
-        raise ConfigError("key 'workers': must be at least 1")
     if not (0 <= config.nu < math.inf and 0 < config.j0 < math.inf):
         raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
     for key, entries in (("n", config.n_list), ("p", config.p_list),
@@ -149,15 +146,16 @@ def validate_sweep_config(config: SweepConfig) -> None:
         if len(set(entries)) != len(entries):
             raise ConfigError(f"key {key!r}: repeated entry in {entries}")
     _check_output_path(config.output_path)
-    # each worker holds one lab, so the largest `workers` labs run at once
+    # labs run one at a time, so each is admitted on its own before any is built
     try:
         specs = {n: _build_model(config.model, n, config.nu, config.j0) for n in config.n_list}
-        needs = sorted(((lab_bytes(spec), n) for n, spec in specs.items()),
-                       reverse=True)[:config.workers]
-        require_memory(sum(need for need, _ in needs),
-                       f"{config.model} N={', '.join(str(n) for _, n in needs)}")
+        for n, spec in specs.items():
+            require_memory(lab_bytes(spec), f"{config.model} N={n}")
     except ValueError as exc:
         raise ConfigError(f"key 'n': {exc}") from exc
+    if not math.isfinite(2 * max(specs) / config.eps_small):
+        raise ConfigError(f"key 'eps_small': {config.eps_small!r} is too small, "
+                          f"2 N / eps_small is not finite at N = {max(specs)}")
     t_max = max(config.t_list)
     for n, spec in specs.items():
         roundoff = 2.0 ** -53 * t_max * n * extensiveness(spec)
@@ -165,6 +163,7 @@ def validate_sweep_config(config: SweepConfig) -> None:
             raise ConfigError(f"key 't': at t = {t_max!r} the phases exp(-iEt) of "
                               f"{config.model} N={n} round off by up to {roundoff:.4g}, "
                               f"above {PHASE_ROUNDOFF_LIMIT:g}")
+    return specs
 
 
 def _build_model(model: str, n: int, nu: float, j0: float):
@@ -179,8 +178,7 @@ def _empty_row() -> dict:
     return dict.fromkeys(CSV_HEADER)
 
 
-def _task_rows(config: SweepConfig, n: int) -> list[dict]:
-    spec = _build_model(config.model, n, config.nu, config.j0)
+def _task_rows(config: SweepConfig, n: int, spec) -> list[dict]:
     lab = ErrorLab(spec)
     g = extensiveness(spec)
     k = spec.locality_k
@@ -208,10 +206,6 @@ def _task_rows(config: SweepConfig, n: int) -> list[dict]:
                                                   and generic_report.time_condition_ok))
                 rows.append(row)
     return rows
-
-
-def _task_rows_star(args) -> list[dict]:
-    return _task_rows(*args)
 
 
 def _sort_key(row: dict):
@@ -268,15 +262,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 def run_sweep(config: SweepConfig) -> str:
     """Evaluate the grid, return (and optionally write) the sorted CSV."""
-    validate_sweep_config(config)
-    tasks = [(config, n) for n in config.n_list]
-    if config.workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_task_rows_star, tasks))
-    else:
-        chunks = [_task_rows(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    specs = validate_sweep_config(config)
+    rows = [row for n, spec in specs.items() for row in _task_rows(config, n, spec)]
     rows.sort(key=_sort_key)
     text = rows_to_csv(rows)
     if config.output_path:
@@ -361,22 +348,20 @@ def run_bounds(text: str) -> tuple[str, list[str]]:
     return rows_to_csv(rows), diagnostics
 
 
+def _read_input(path: str, what: str) -> str:
+    """Read a UTF-8 text file; an unreadable or non-UTF-8 one is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
     _check_output_path(args.out)
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    config = parse_sweep_config(text)
-    overrides = {}
+    config = parse_sweep_config(_read_input(args.config, "config"))
     if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        config = replace(config, **overrides)
-        validate_sweep_config(config)
+        config = replace(config, output_path=args.out)
     text_out = run_sweep(config)
     if not config.output_path:
         sys.stdout.write(text_out)
@@ -385,12 +370,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     _check_output_path(args.out)
-    try:
-        with open(args.inputs, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read inputs {args.inputs!r}: {exc}") from exc
-    csv_text, diagnostics = run_bounds(text)
+    csv_text, diagnostics = run_bounds(_read_input(args.inputs, "inputs"))
     for line in diagnostics:
         print(line, file=sys.stderr)
     if args.out:
@@ -420,8 +400,6 @@ def _cmd_dump_model(args) -> int:
     _check_output_path(args.out)
     if args.model not in MODELS:
         raise ConfigError(f"unknown model {args.model!r}")
-    if args.n < _MIN_SITES[args.model]:
-        raise ConfigError(f"{args.model} needs at least {_MIN_SITES[args.model]} sites")
     try:
         spec = _build_model(args.model, args.n, args.nu, args.j0)
     except ValueError as exc:
@@ -443,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run an error sweep from a config file")
     sweep.add_argument("config", help="flat key = value config file")
     sweep.add_argument("--out", help="output CSV path (overrides the config)")
-    sweep.add_argument("--workers", type=int, help="parallel workers over chain sizes")
     sweep.set_defaults(func=_cmd_sweep)
 
     bounds = sub.add_parser("bounds", help="evaluate bound formulas for input rows")

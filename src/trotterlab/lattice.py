@@ -24,6 +24,7 @@ terms, so every spectrum starts at or above zero.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +92,12 @@ class LatticeSpec:
             raise ValueError(f"need at least 2 sites, got {self.num_sites}")
         if self.local_dim < 2:
             raise ValueError(f"need local_dim >= 2, got {self.local_dim}")
+        if self.num_sites >= 64 / math.log2(self.local_dim):
+            # dim >= 2^64: refuse without forming d^N and 16 d^2N, slow to build and print
+            side = f"{self.local_dim}^{self.num_sites}"
+            raise ValueError(f"a {self.num_sites}-site lattice (one dense {side}x{side} complex "
+                             f"matrix) needs at least 2^132 bytes, more than the "
+                             f"{physical_memory()} bytes of physical memory")
         dim = self.hilbert_dim
         require_memory(COMPLEX_BYTES * dim ** 2,
                        f"a {self.num_sites}-site lattice (one dense {dim}x{dim} complex matrix)")

@@ -315,6 +315,7 @@ def test_product_state_tail_concentration(lab_cache):
     {"eps_total": 0.0},
     {"eps_small": 0.0},
     {"eps_small": 1.0},
+    {"eps_small": 1e-320},      # 2 N / eps_small overflows
     {"cycles": 0},
     {"concentration_c": 0.0},
 ])

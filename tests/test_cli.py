@@ -2,6 +2,7 @@
 import hashlib
 import math
 import os
+import time
 
 import pytest
 
@@ -36,7 +37,9 @@ def test_parse_round_trip_defaults():
     assert config.n_list == (4,)
     assert config.t_list == (0.0, 0.1)
     assert math.isinf(config.delta_list[0])
-    assert config.bounds is False and config.workers == 1
+    assert config.bounds is False
+    # sweeps run serially; an explicit `workers = 1` changes nothing
+    assert cli.parse_sweep_config(SMALL_CONFIG + "workers = 1\n") == config
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -61,7 +64,10 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nj0 = inf", "finite nu"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nseed = 3", "unknown key"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = 1.5", "(0, 1)"),
-    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "at least 1"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "one chain size at a time"),
+    ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 2", "one chain size at a time"),
+    ("model = aklt\nn = 3\np = 1\nt = 0.0, 0.1\ndelta = 1.0\nbounds = true\n"
+     "eps_small = 1e-320", "2 N / eps_small is not finite"),
     ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
     ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1\ncap = 60000", "unknown key"),
     ("model = mg\nn = 4, 4\np = 1\nt = 0.1\ndelta = 1", "repeated entry"),
@@ -75,7 +81,15 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(info.value)
 
 
-def test_admission_follows_orders_and_workers(monkeypatch):
+def test_huge_chain_refused_quickly():
+    # N log2(d) alone puts one dense matrix beyond memory: d^N is never formed
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="bytes of physical memory"):
+        cli.parse_sweep_config("model = aklt\nn = 30000000\np = 1\nt = 0.1\ndelta = 1")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_admission_follows_orders(monkeypatch):
     # MG N=6 needs 64^2 (8 * 11 + 16 * 4) bytes at every order: no stage
     # unitary is cached; MG N=5 needs a quarter of that
     need = 64 ** 2 * (8 * 11 + 16 * 4)
@@ -87,11 +101,12 @@ def test_admission_follows_orders_and_workers(monkeypatch):
     with pytest.raises(cli.ConfigError, match=f"needs {need} bytes, more than "
                                               f"the {need - 1} bytes"):
         cli.parse_sweep_config(base + "n = 6\np = 1")
-    # two workers hold the two labs at once: N=6 plus a quarter of it for N=5
-    monkeypatch.setattr(lattice, "physical_memory", lambda: need + need // 8)
-    assert cli.parse_sweep_config(base + "n = 5, 6\np = 6").workers == 1
-    with pytest.raises(cli.ConfigError, match=f"N=6, 5 needs {need + need // 4} bytes"):
-        cli.parse_sweep_config(base + "n = 5, 6\np = 1\nworkers = 2")
+    # labs run one at a time: each chain size is admitted on its own
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+    assert cli.parse_sweep_config(base + "n = 5, 6\np = 6").n_list == (5, 6)
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
+    with pytest.raises(cli.ConfigError, match=f"mg N=6 needs {need} bytes"):
+        cli.parse_sweep_config(base + "n = 5, 6\np = 1")
 
 
 # -------------------------------------------------------------- sweeps
@@ -120,11 +135,18 @@ def test_sweep_determinism_hash(tmp_path):
     assert len(digests) == 1
 
 
-def test_sweep_workers_agree():
-    text = "model = mg\nn = 4, 5\np = 1\nt = 0.1\ndelta = inf"
-    serial = cli.run_sweep(cli.parse_sweep_config(text))
-    parallel = cli.run_sweep(cli.parse_sweep_config(text + "\nworkers = 2"))
-    assert serial == parallel
+def test_sweep_builds_each_chain_size_once(monkeypatch):
+    config = cli.parse_sweep_config("model = mg\nn = 4, 5\np = 1\nt = 0.1\ndelta = inf")
+    built = []
+    build = cli._build_model
+
+    def counting(*args):
+        built.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(cli, "_build_model", counting)
+    cli.run_sweep(config)
+    assert built == [4, 5]
 
 
 def test_sweep_bound_columns_at_zero_time():
@@ -212,15 +234,18 @@ def test_bounds_rejects_bad_rows_with_diagnostics():
             "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n"
             "16,2,2.0,2,6,1.0,1e100,0.01,0.01\n"
             "16,2,2.0,2,1,1.0,1e300,0.01,0.01\n"
-            "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n")
+            "16,2,2.0,2,1,1.0,0.01,0.01,0.01\n"
+            "3,2,2.0,2,1,1.0,0.1,0.01,1e-320\n")
     csv_text, diagnostics = cli.run_bounds(text)
-    assert len(diagnostics) == 4
+    assert len(diagnostics) == 5
     assert diagnostics[0].startswith("row 3: rejected")
     assert "positive" in diagnostics[0]
     assert diagnostics[1].startswith("row 4: rejected") and "finite" in diagnostics[1]
     assert diagnostics[2].startswith("row 5: rejected") and "finite" in diagnostics[2]
     # the step-count formula overflows at t = 1e300
     assert diagnostics[3].startswith("row 8: rejected")
+    # ln(2 N / eps_small) of the generic bound would overflow
+    assert diagnostics[4].startswith("row 10: rejected") and "eps_small" in diagnostics[4]
     # good rows still evaluated: 4 inputs x 5 families
     rows = parse_rows(csv_text)
     assert len(rows) == 20
@@ -286,6 +311,14 @@ def test_main_bad_config_exits_two(tmp_path, capsys):
     path.write_text("model = mg\nn = 4\np = 1\nt = nan\ndelta = 1", encoding="utf-8")
     assert cli.main(["sweep", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+    # input that is not UTF-8 is a config error, not a traceback
+    path.write_bytes(b"model = mg\xff\n")
+    assert cli.main(["sweep", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_bytes(BOUNDS_HEADER.encode() + b"\n16,2,2.0,\xff\n")
+    assert cli.main(["bounds", str(inputs)]) == 2
+    assert "cannot read inputs" in capsys.readouterr().err
 
 
 def test_main_usage_error_exits_two(capsys):
@@ -343,6 +376,8 @@ def test_main_dump_model_rejects_small_chain(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["dump-model", "--model", "aklt", "--n", "7"]) == 2
     assert f"needs {16 * 3 ** 14} bytes, more than the {16 * 3 ** 12}" in capsys.readouterr().err
+    assert cli.main(["dump-model", "--model", "aklt", "--n", "100000"]) == 2
+    assert "bytes of physical memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "bounds", "verify", "dump-model"])
