@@ -28,7 +28,7 @@ whose measured per-step error passes, and verifies the result directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ErrorLab
 from .formulas import FormulaPlan, cycle_count
@@ -48,8 +48,8 @@ class BoundInputs:
     """Scalar inputs shared by the bound evaluators.
 
     ``eps_total`` may exceed 1 only for degenerate checks (any unitary pair
-    differs by at most 2); ``eps_small`` must lie in (0, 1).  ``cycles``
-    defaults to the Suzuki cycle count of ``order_p``.
+    differs by at most 2); ``eps_small`` must lie in (0, 1).  ``cycles`` is
+    the Suzuki cycle count of ``order_p``.
     """
 
     num_sites: int
@@ -61,7 +61,7 @@ class BoundInputs:
     time: float
     eps_total: float
     eps_small: float
-    cycles: int | None = None
+    cycles: int = field(init=False)
     concentration_c: float = 1.0
     energy_expectation: float | None = None
 
@@ -88,10 +88,7 @@ class BoundInputs:
             raise ValueError("eps_small is too small: 2 N / eps_small is not finite")
         if self.concentration_c <= 0:
             raise ValueError("concentration constant must be positive")
-        if self.cycles is None:
-            object.__setattr__(self, "cycles", cycle_count(self.order_p))
-        elif self.cycles < 1:
-            raise ValueError("cycle count must be positive")
+        object.__setattr__(self, "cycles", cycle_count(self.order_p))
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
     return steps
 
 
-def weakly_correlated_number(inputs: BoundInputs, regime: str = "const_gamma") -> tuple[float, int]:
+def weakly_correlated_number(inputs: BoundInputs) -> tuple[float, int]:
     """Concentration width x and step count for weakly correlated states.
 
     x = g * sqrt(2 N / c * ln(4 / eps)) caps the energy tail weight of a
@@ -237,5 +234,5 @@ def weakly_correlated_number(inputs: BoundInputs, regime: str = "const_gamma") -
         max(0.0, 2.0 * inputs.num_sites / inputs.concentration_c * arg))
     count = _count_value(inputs.extensiveness, inputs.time,
                          inputs.energy_expectation + x, inputs.eps_total,
-                         inputs.order_p, inputs.num_sites, regime)
+                         inputs.order_p, inputs.num_sites, "const_gamma")
     return x, count

@@ -37,9 +37,14 @@ _ORDERS = (1, 2, 4, 6)
 # 1e-12 gate at which the block route matches the dense oracle
 PHASE_ROUNDOFF_LIMIT = 1e-12
 
-BOUNDS_REQUIRED_COLUMNS = ("N", "k", "g", "Gamma", "p", "delta", "t",
-                           "eps_total", "eps_small")
-BOUNDS_OPTIONAL_COLUMNS = ("c_conc", "energy_expect")
+# bounds input column -> (BoundInputs field, type); the first nine are required
+_BOUNDS_FIELDS = {"N": ("num_sites", int), "k": ("locality", int),
+                  "g": ("extensiveness", float), "Gamma": ("gamma_count", int),
+                  "p": ("order_p", int), "delta": ("delta", float), "t": ("time", float),
+                  "eps_total": ("eps_total", float), "eps_small": ("eps_small", float),
+                  "c_conc": ("concentration_c", float),
+                  "energy_expect": ("energy_expectation", float)}
+BOUNDS_REQUIRED_COLUMNS = tuple(_BOUNDS_FIELDS)[:9]
 
 
 class ConfigError(ValueError):
@@ -48,6 +53,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep grid; construction refuses every value that is bad without a model."""
+
     model: str
     n_list: tuple[int, ...]
     p_list: tuple[int, ...]
@@ -58,6 +65,26 @@ class SweepConfig:
     eps_small: float = 0.01
     nu: float = 2.0
     j0: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.model not in MODELS:
+            raise ConfigError(f"key 'model': unknown model {self.model!r}")
+        if not self.n_list:
+            raise ConfigError("key 'n': empty list")
+        if not self.p_list or any(p not in _ORDERS for p in self.p_list):
+            raise ConfigError(f"key 'p': orders must be among {_ORDERS}")
+        if not self.t_list or not all(0 <= t < math.inf for t in self.t_list):
+            raise ConfigError("key 't': need a nonempty list of finite nonnegative times")
+        if not self.delta_list or not all(d >= 0 for d in self.delta_list):
+            raise ConfigError("key 'delta': need a nonempty list of cutoffs >= 0 or inf")
+        if not 0 < self.eps_small < 1:
+            raise ConfigError("key 'eps_small': must lie in (0, 1)")
+        if not (0 <= self.nu < math.inf and 0 < self.j0 < math.inf):
+            raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
+        for key, entries in (("n", self.n_list), ("p", self.p_list),
+                             ("t", self.t_list), ("delta", self.delta_list)):
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"key {key!r}: repeated entry in {entries}")
 
 
 _CONFIG_KEYS = ("model", "n", "p", "t", "delta", "bounds", "out",
@@ -80,7 +107,7 @@ def _parse_list(key: str, text: str, kind) -> tuple:
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse and validate the flat key = value grammar."""
+    """Parse the flat key = value grammar; keys left out take the SweepConfig defaults."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,51 +127,35 @@ def parse_sweep_config(text: str) -> SweepConfig:
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
-    bounds_text = values.get("bounds", "false").lower()
-    if bounds_text not in ("true", "false"):
-        raise ConfigError(f"key 'bounds': expected true or false, got {values['bounds']!r}")
-    if _parse_scalar("workers", values.get("workers", "1"), int) != 1:
+    optional: dict = {}
+    if "bounds" in values:
+        bounds_text = values["bounds"].lower()
+        if bounds_text not in ("true", "false"):
+            raise ConfigError(f"key 'bounds': expected true or false, got {values['bounds']!r}")
+        optional["bounds"] = bounds_text == "true"
+    if "workers" in values and _parse_scalar("workers", values["workers"], int) != 1:
         raise ConfigError("key 'workers': sweeps run one chain size at a time, "
                           "so only 1 is accepted")
-    config = SweepConfig(
+    if "out" in values:
+        optional["output_path"] = values["out"]
+    for key in ("eps_small", "nu", "j0"):
+        if key in values:
+            optional[key] = _parse_scalar(key, values[key], float)
+    return SweepConfig(
         model=values["model"],
         n_list=_parse_list("n", values["n"], int),
         p_list=_parse_list("p", values["p"], int),
         t_list=_parse_list("t", values["t"], float),
         delta_list=_parse_list("delta", values["delta"], float),
-        bounds=bounds_text == "true",
-        output_path=values.get("out"),
-        eps_small=float(_parse_scalar("eps_small", values.get("eps_small", "0.01"), float)),
-        nu=float(_parse_scalar("nu", values.get("nu", "2.0"), float)),
-        j0=float(_parse_scalar("j0", values.get("j0", "1.0"), float)),
-    )
-    validate_sweep_config(config)
-    return config
+        **optional)
 
 
-def validate_sweep_config(config: SweepConfig) -> dict:
-    """Check every key, the output path, each lab's memory, then the phase round-off at max t.
+def _admit(config: SweepConfig) -> dict:
+    """Check the output path, build and admit each chain size, then the eps_small
+    floor at the largest N and the phase round-off at the largest t.
 
     Returns the model of each chain size, ``{n: spec}``, built once here.
     """
-    if config.model not in MODELS:
-        raise ConfigError(f"key 'model': unknown model {config.model!r}")
-    if not config.n_list:
-        raise ConfigError("key 'n': empty list")
-    if not config.p_list or any(p not in _ORDERS for p in config.p_list):
-        raise ConfigError(f"key 'p': orders must be among {_ORDERS}")
-    if not config.t_list or not all(0 <= t < math.inf for t in config.t_list):
-        raise ConfigError("key 't': need a nonempty list of finite nonnegative times")
-    if not config.delta_list or not all(d >= 0 for d in config.delta_list):
-        raise ConfigError("key 'delta': need a nonempty list of cutoffs >= 0 or inf")
-    if not 0 < config.eps_small < 1:
-        raise ConfigError("key 'eps_small': must lie in (0, 1)")
-    if not (0 <= config.nu < math.inf and 0 < config.j0 < math.inf):
-        raise ConfigError("keys 'nu'/'j0': need finite nu >= 0 and j0 > 0")
-    for key, entries in (("n", config.n_list), ("p", config.p_list),
-                         ("t", config.t_list), ("delta", config.delta_list)):
-        if len(set(entries)) != len(entries):
-            raise ConfigError(f"key {key!r}: repeated entry in {entries}")
     _check_output_path(config.output_path)
     # labs run one at a time, so each is admitted on its own before any is built
     try:
@@ -261,8 +272,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def run_sweep(config: SweepConfig) -> str:
-    """Evaluate the grid, return (and optionally write) the sorted CSV."""
-    specs = validate_sweep_config(config)
+    """Admit each chain size, evaluate the grid, return (and optionally write) the sorted CSV."""
+    specs = _admit(config)
     rows = [row for n, spec in specs.items() for row in _task_rows(config, n, spec)]
     rows.sort(key=_sort_key)
     text = rows_to_csv(rows)
@@ -272,25 +283,14 @@ def run_sweep(config: SweepConfig) -> str:
 
 
 def _parse_bounds_record(record: dict) -> BoundInputs:
-    def grab(column: str, kind):
+    fields = {}
+    for column, (name, kind) in _BOUNDS_FIELDS.items():
         raw = (record.get(column) or "").strip()
-        if not raw:
+        if raw:
+            fields[name] = kind(raw)
+        elif column in BOUNDS_REQUIRED_COLUMNS:
             raise ValueError(f"missing value for {column!r}")
-        return kind(raw)
-
-    optional: dict = {}
-    c_conc = (record.get("c_conc") or "").strip()
-    if c_conc:
-        optional["concentration_c"] = float(c_conc)
-    energy = (record.get("energy_expect") or "").strip()
-    if energy:
-        optional["energy_expectation"] = float(energy)
-    return BoundInputs(
-        num_sites=grab("N", int), locality=grab("k", int),
-        extensiveness=grab("g", float), gamma_count=grab("Gamma", int),
-        order_p=grab("p", int), delta=grab("delta", float), time=grab("t", float),
-        eps_total=grab("eps_total", float), eps_small=grab("eps_small", float),
-        **optional)
+    return BoundInputs(**fields)
 
 
 def _bound_rows(inputs: BoundInputs) -> list[dict]:
@@ -358,7 +358,6 @@ def _read_input(path: str, what: str) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    _check_output_path(args.out)
     config = parse_sweep_config(_read_input(args.config, "config"))
     if args.out is not None:
         config = replace(config, output_path=args.out)
@@ -369,7 +368,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _check_output_path(args.out)
     csv_text, diagnostics = run_bounds(_read_input(args.inputs, "inputs"))
     for line in diagnostics:
         print(line, file=sys.stderr)
@@ -381,7 +379,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_output_path(args.out)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     results = run_verify(seed=args.seed if args.seed is not None else 0)
@@ -397,7 +394,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_model(args) -> int:
-    _check_output_path(args.out)
     if args.model not in MODELS:
         raise ConfigError(f"unknown model {args.model!r}")
     try:
@@ -450,6 +446,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output_path(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,8 +89,7 @@ class ErrorLab:
         block = self.spectrum.eigenvectors[:, :max(counts, default=0)]
         diff = block * np.exp(-1j * t * self.spectrum.eigenvalues[:block.shape[1]])
         # the plan repeated steps times at t/steps
-        stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps,
-                              plan.cycles * steps)
+        stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps)
         diff -= apply_plan(stepped, self.part_spectra, t / steps, block, self.transitions)
         return [_matrix_norm(diff[:, :m]) for m in counts]
 

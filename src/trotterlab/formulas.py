@@ -58,14 +58,18 @@ class FormulaPlan:
     order_p: int
     gamma_count: int
     stages: tuple[tuple[int, float], ...]
-    cycles: int
+
+    @property
+    def cycles(self) -> int:
+        """Passes over the groups: ``cycle_count(order_p)`` for a valid plan."""
+        return len(self.stages) // self.gamma_count
 
 
 def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
     """Build the order-p Suzuki plan for ``gamma_count`` groups."""
     if gamma_count < 1:
         raise ValueError(f"need at least one group, got {gamma_count}")
-    cycles = cycle_count(order_p)
+    cycle_count(order_p)  # refuses an unsupported order before any stage is built
     if order_p == 1:
         stages = [(g, 1.0) for g in range(1, gamma_count + 1)]
     else:
@@ -77,14 +81,14 @@ def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
             outer = [(g, a * u) for g, a in stages]
             middle = [(g, a * (1.0 - 4.0 * u)) for g, a in stages]
             stages = outer + outer + middle + outer + outer
-    plan = FormulaPlan(order_p, gamma_count, tuple(stages), cycles)
+    plan = FormulaPlan(order_p, gamma_count, tuple(stages))
     validate_plan(plan)
     return plan
 
 
 def validate_plan(plan: FormulaPlan) -> None:
     """Raise unless stage count, labels, coefficient sums and sizes all check out."""
-    expected = plan.cycles * plan.gamma_count
+    expected = cycle_count(plan.order_p) * plan.gamma_count
     if len(plan.stages) != expected:
         raise ValueError(f"expected {expected} stages, plan has {len(plan.stages)}")
     sums = dict.fromkeys(range(1, plan.gamma_count + 1), 0.0)

@@ -149,10 +149,10 @@ class HamiltonianSpec:
     """Terms plus a commuting-group partition on a fixed lattice.
 
     ``partition[i]`` is the group label of ``terms[i]``; labels must be
-    exactly 1..Gamma.  Structural constraints (supports inside the lattice,
-    support size at most ``locality_k``, matching block dimensions) are
-    enforced at construction; semantic ones (PSD terms, within-group
-    commutation) are reported by :func:`validate`.
+    exactly 1..Gamma.  Structural constraints (at least one term, supports
+    inside the lattice, support size at most ``locality_k``, matching block
+    dimensions) are enforced at construction; semantic ones (PSD terms,
+    within-group commutation) are reported by :func:`validate`.
     """
 
     lattice: LatticeSpec
@@ -166,6 +166,8 @@ class HamiltonianSpec:
         partition = tuple(int(g) for g in self.partition)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "partition", partition)
+        if not terms:
+            raise ValueError("a Hamiltonian needs at least one term")
         if len(terms) != len(partition):
             raise ValueError("one partition label per term required")
         labels = set(partition)
@@ -419,8 +421,7 @@ def spec_from_json(text: str) -> HamiltonianSpec:
         block = np.asarray(entry["block_real"], dtype=float) \
             + 1j * np.asarray(entry["block_imag"], dtype=float)
         terms.append(LocalTerm(tuple(entry["support"]), block))
-    if not terms:
-        raise ValueError("spec file contains no terms")
-    locality = max(len(t.support) for t in terms)
+    # with no terms, HamiltonianSpec refuses the file
+    locality = max((len(t.support) for t in terms), default=1)
     return HamiltonianSpec(lattice, tuple(terms), tuple(payload["partition"]),
                            locality_k=locality, model_tag=str(payload["model_tag"]))

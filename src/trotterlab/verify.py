@@ -213,7 +213,7 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     tampered_stages = list(reference.stages)
     gamma, alpha = tampered_stages[0]
     tampered_stages[0] = (gamma, -alpha)
-    tampered = FormulaPlan(2, 2, tuple(tampered_stages), reference.cycles)
+    tampered = FormulaPlan(2, 2, tuple(tampered_stages))
     fit = order_check(tampered, lab_for("aklt", 4), grid)
     detected = fit.exact is False and abs(fit.slope - 3.0) > 0.2
     out.append(CheckResult("pf-mutation-detected", detected, fit.slope, 3.0))

@@ -316,7 +316,7 @@ def test_product_state_tail_concentration(lab_cache):
     {"eps_small": 0.0},
     {"eps_small": 1.0},
     {"eps_small": 1e-320},      # 2 N / eps_small overflows
-    {"cycles": 0},
+    {"time": math.inf},
     {"concentration_c": 0.0},
 ])
 def test_inputs_rejected(overrides):
@@ -329,4 +329,3 @@ def test_cycles_default_follows_order():
     assert make_inputs(order_p=2).cycles == 2
     assert make_inputs(order_p=4).cycles == 10
     assert make_inputs(order_p=6).cycles == 50
-    assert make_inputs(order_p=2, cycles=7).cycles == 7

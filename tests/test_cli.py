@@ -52,7 +52,6 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 4\np = 1\nt = 0.1,,0.2\ndelta = 1", "empty list entry"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nbounds = maybe", "true or false"),
     ("model = ising\nn = 4\np = 1\nt = 0.1\ndelta = 1", "unknown model"),
-    ("model = mg\nn = 2\np = 1\nt = 0.1\ndelta = 1", "at least 3 sites"),
     ("model = mg\nn = 4\np = 3\nt = 0.1\ndelta = 1", "orders must be among"),
     ("model = mg\nn = 4\np = 1\nt = -0.1\ndelta = 1", "nonnegative"),
     ("model = mg\nn = 4\np = 1\nt = nan\ndelta = 1", "finite"),
@@ -66,9 +65,6 @@ def test_parse_round_trip_defaults():
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\neps_small = 1.5", "(0, 1)"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 0", "one chain size at a time"),
     ("model = mg\nn = 4\np = 1\nt = 0.1\ndelta = 1\nworkers = 2", "one chain size at a time"),
-    ("model = aklt\nn = 3\np = 1\nt = 0.0, 0.1\ndelta = 1.0\nbounds = true\n"
-     "eps_small = 1e-320", "2 N / eps_small is not finite"),
-    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
     ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1\ncap = 60000", "unknown key"),
     ("model = mg\nn = 4, 4\np = 1\nt = 0.1\ndelta = 1", "repeated entry"),
     ("model = mg\nn = 4\np = 1, 1\nt = 0.1\ndelta = 1", "repeated entry"),
@@ -81,11 +77,32 @@ def test_parse_rejects(text, fragment):
     assert fragment in str(info.value)
 
 
-def test_huge_chain_refused_quickly():
+def no_lab(*args, **kwargs):
+    raise AssertionError("a lab was built before the sweep was admitted")
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("model = mg\nn = 2\np = 1\nt = 0.1\ndelta = 1", "at least 3 sites"),
+    ("model = aklt\nn = 3\np = 1\nt = 0.0, 0.1\ndelta = 1.0\nbounds = true\n"
+     "eps_small = 1e-320", "2 N / eps_small is not finite"),
+    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
+])
+def test_sweep_rejects_before_any_lab(text, fragment, monkeypatch):
+    # checks that need a model run once, at the start of run_sweep
+    monkeypatch.setattr(cli, "ErrorLab", no_lab)
+    config = cli.parse_sweep_config(text)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.run_sweep(config)
+    assert fragment in str(info.value)
+
+
+def test_huge_chain_refused_quickly(monkeypatch):
     # N log2(d) alone puts one dense matrix beyond memory: d^N is never formed
+    monkeypatch.setattr(cli, "ErrorLab", no_lab)
     start = time.perf_counter()
     with pytest.raises(cli.ConfigError, match="bytes of physical memory"):
-        cli.parse_sweep_config("model = aklt\nn = 30000000\np = 1\nt = 0.1\ndelta = 1")
+        cli.run_sweep(cli.parse_sweep_config(
+            "model = aklt\nn = 30000000\np = 1\nt = 0.1\ndelta = 1"))
     assert time.perf_counter() - start < 1.0
 
 
@@ -95,18 +112,23 @@ def test_admission_follows_orders(monkeypatch):
     need = 64 ** 2 * (8 * 11 + 16 * 4)
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
     base = "model = mg\nt = 0.1\ndelta = 1\n"
-    assert cli.parse_sweep_config(base + "n = 6\np = 1").p_list == (1,)
-    assert cli.parse_sweep_config(base + "n = 6\np = 1, 2, 4, 6").p_list == (1, 2, 4, 6)
+
+    def sweep(text: str) -> list[tuple[str, str]]:
+        rows = parse_rows(cli.run_sweep(cli.parse_sweep_config(base + text)))
+        return [(row["N"], row["p"]) for row in rows]
+
+    assert sweep("n = 6\np = 1") == [("6", "1")]
+    assert sweep("n = 6\np = 1, 2, 4, 6") == [("6", "1"), ("6", "2"), ("6", "4"), ("6", "6")]
     monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
     with pytest.raises(cli.ConfigError, match=f"needs {need} bytes, more than "
                                               f"the {need - 1} bytes"):
-        cli.parse_sweep_config(base + "n = 6\np = 1")
+        sweep("n = 6\np = 1")
     # labs run one at a time: each chain size is admitted on its own
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
-    assert cli.parse_sweep_config(base + "n = 5, 6\np = 6").n_list == (5, 6)
+    assert sweep("n = 5, 6\np = 6") == [("5", "6"), ("6", "6")]
     monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
     with pytest.raises(cli.ConfigError, match=f"mg N=6 needs {need} bytes"):
-        cli.parse_sweep_config(base + "n = 5, 6\np = 1")
+        sweep("n = 5, 6\np = 1")
 
 
 # -------------------------------------------------------------- sweeps
@@ -136,7 +158,6 @@ def test_sweep_determinism_hash(tmp_path):
 
 
 def test_sweep_builds_each_chain_size_once(monkeypatch):
-    config = cli.parse_sweep_config("model = mg\nn = 4, 5\np = 1\nt = 0.1\ndelta = inf")
     built = []
     build = cli._build_model
 
@@ -145,7 +166,7 @@ def test_sweep_builds_each_chain_size_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(cli, "_build_model", counting)
-    cli.run_sweep(config)
+    cli.run_sweep(cli.parse_sweep_config("model = mg\nn = 4, 5\np = 1\nt = 0.1\ndelta = inf"))
     assert built == [4, 5]
 
 
@@ -288,7 +309,7 @@ def test_sweep_time_admitted_up_to_phase_precision(tmp_path, capsys):
     assert all(0.0 <= float(row["error_value"]) <= 2.0 for row in rows)
     for times in ("1502", "0.1, 1e100"):
         with pytest.raises(cli.ConfigError, match=r"key 't': .* aklt N=3 round off"):
-            cli.parse_sweep_config(base + times)
+            cli.run_sweep(cli.parse_sweep_config(base + times))
 
 
 def test_main_flag_overrides_config(tmp_path):

@@ -68,16 +68,16 @@ def test_fourth_order_recursion_coefficients():
 
 def test_validate_plan_catches_tampering():
     plan = tl.suzuki_plan(2, 2)
-    truncated = FormulaPlan(2, 2, plan.stages[:-1], plan.cycles)
+    truncated = FormulaPlan(2, 2, plan.stages[:-1])
     with pytest.raises(ValueError, match="stages"):
         tl.validate_plan(truncated)
-    bad_label = FormulaPlan(2, 2, ((1, 0.5), (3, 0.5), (3, 0.5), (1, 0.5)), 2)
+    bad_label = FormulaPlan(2, 2, ((1, 0.5), (3, 0.5), (3, 0.5), (1, 0.5)))
     with pytest.raises(ValueError, match="label"):
         tl.validate_plan(bad_label)
-    bad_sum = FormulaPlan(2, 2, ((1, 0.5), (2, 0.5), (2, 0.5), (1, -0.5)), 2)
+    bad_sum = FormulaPlan(2, 2, ((1, 0.5), (2, 0.5), (2, 0.5), (1, -0.5)))
     with pytest.raises(ValueError, match="sum"):
         tl.validate_plan(bad_sum)
-    big_coeff = FormulaPlan(1, 2, ((1, 2.0), (2, 1.0)), 1)
+    big_coeff = FormulaPlan(1, 2, ((1, 2.0), (2, 1.0)))
     with pytest.raises(ValueError, match="magnitude"):
         tl.validate_plan(big_coeff)
 
@@ -169,7 +169,7 @@ def test_mutation_is_detected(aklt4):
     stages = list(reference.stages)
     gamma, alpha = stages[0]
     stages[0] = (gamma, -alpha)
-    tampered = FormulaPlan(2, 2, tuple(stages), reference.cycles)
+    tampered = FormulaPlan(2, 2, tuple(stages))
     with pytest.raises(ValueError):
         tl.validate_plan(tampered)
     grid = list(np.geomspace(1e-3, 1e-2, 5))

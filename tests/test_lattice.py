@@ -203,6 +203,8 @@ def test_hamiltonian_spec_rejects_bad_labels():
         tl.HamiltonianSpec(lattice, terms, (1, 3), locality_k=2)
     with pytest.raises(ValueError, match="exceeds k"):
         tl.HamiltonianSpec(lattice, terms, (1, 2), locality_k=1)
+    with pytest.raises(ValueError, match="at least one term"):
+        tl.HamiltonianSpec(lattice, (), (), locality_k=2)
 
 
 def test_local_term_rejects_bad_input():
