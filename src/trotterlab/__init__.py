@@ -22,8 +22,8 @@ from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm,
                       build_mg, extensiveness, greedy_partition,
                       long_range_extensiveness, shift_psd, spec_from_json,
                       spec_to_json, spin_matrices, spin_sector_projector, validate)
-from .operators import (assemble, embed, evolve, low_energy_projector,
-                        spectral_norm)
+from .operators import (assemble, conserved_charge, embed, evolve,
+                        low_energy_projector, spectral_norm)
 from .verify import CheckResult, results_to_csv, run_verify
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "FORMULA_COUNT_GENERAL", "FORMULA_GENERIC", "FORMULA_WEAKLY_CORRELATED",
     "FormulaPlan", "HamiltonianSpec", "LatticeSpec", "LocalTerm", "MAX_ORDER",
     "OrderFit", "ValidationReport", "apply_plan", "assemble",
-    "build_aklt", "build_long_range_heisenberg", "build_mg",
+    "build_aklt", "build_long_range_heisenberg", "build_mg", "conserved_charge",
     "trotter_number_certified", "const_gamma_error_bound",
     "cycle_count", "embed", "embed_block", "evolve",
     "excitation_tail_bound", "extensiveness",

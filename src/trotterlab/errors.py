@@ -4,10 +4,12 @@ The central quantity is the spectral norm of (exp(-iHt) - T_p(t)) P, where
 P projects onto eigenstates with energy at most delta.  It depends only on
 the block V of those eigenvectors, since exp(-iHt) V = V exp(-iEt): the
 error is ||V exp(-iEt) - T_p(t) V||, and with every column it is the full
-norm, as V is then unitary.  ``ErrorLab`` caches the assembled Hamiltonian,
-its spectrum, the group spectra and the transitions between group
-eigenbases, so that sweeps over (p, t, delta) only pay for phases and
-transitions on the block and norms.
+norm, as V is then unitary.  Every term conserves the charge of
+``conserved_charge``, so H and each group Hamiltonian are block diagonal on
+its sectors: ``ErrorLab`` diagonalizes them with one ``eigh`` per sector
+and scatters the sector eigenvectors into dense dim x dim columns.  Sweeps
+over (p, t, delta) then only pay for phases and transitions on the block
+and norms.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from numpy.linalg import eigh
 
 from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
-from .operators import _matrix_norm, assemble, embed, low_energy_mask
+from .operators import (Spectrum, _matrix_norm, assemble, conserved_charge, embed,
+                        low_energy_mask)
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -43,14 +46,44 @@ def lab_bytes(spec: HamiltonianSpec) -> int:
     return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
 
 
+def _sector_spectrum(matrix: np.ndarray, sectors: list[np.ndarray],
+                     ascending: bool) -> Spectrum:
+    """Spectrum of a matrix that is block diagonal on ``sectors``, one ``eigh`` per sector.
+
+    Each sector's eigenvectors go straight into their dense columns, zero
+    off the sector's rows.  With ``ascending`` the eigenvalues are stably
+    sorted, ties in sector order; otherwise the columns follow the sectors
+    and each sector's ``eigh`` result is dropped once it is written.
+    """
+    dim = matrix.shape[0]
+    vectors = np.zeros_like(matrix)
+    parts = (eigh(matrix[np.ix_(rows, rows)]) for rows in sectors)
+    if ascending:   # every eigenvalue is needed before the first column is known
+        parts = list(parts)
+        values = np.concatenate([part.eigenvalues for part in parts])
+        order = np.argsort(values, kind="stable")
+    else:
+        values, order = np.empty(dim), np.arange(dim)
+    columns = np.argsort(order)   # where each sector eigenpair lands
+    start = 0
+    for rows, part in zip(sectors, parts):
+        stop = start + rows.size
+        values[start:stop] = part.eigenvalues
+        vectors[np.ix_(rows, columns[start:stop])] = part.eigenvectors
+        start = stop
+    return Spectrum(values[order], vectors)
+
+
 class ErrorLab:
     """Spectra cache plus error evaluators for one Hamiltonian spec.
 
-    Keeps H, the ``eigh`` results of H and of each group's partial
-    Hamiltonian, and the transitions between group eigenbases that
-    ``apply_plan`` builds (at most Gamma (Gamma - 1)/2, each once); the
-    partial Hamiltonians themselves are dropped.  Everything is float64
-    when every term block is real, complex128 otherwise.
+    Keeps H, the spectra of H (eigenvalues ascending) and of each group's
+    partial Hamiltonian (in sector order), and the transitions between
+    group eigenbases that ``apply_plan`` builds (at most Gamma (Gamma - 1)/2,
+    each once); the partial Hamiltonians themselves are dropped.  Every
+    spectrum is dense, dim x dim eigenvectors, built with one ``eigh`` per
+    charge sector.  Everything is float64 when every term block is real,
+    complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -58,8 +91,12 @@ class ErrorLab:
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
         self.hamiltonian, parts = assemble(spec)
-        self.spectrum = eigh(self.hamiltonian)
-        self.part_spectra = tuple(eigh(p) for p in parts)
+        charge = conserved_charge(spec)
+        # every label from 0 to the largest occurs; np.unique would import numpy.ma
+        sectors = [np.flatnonzero(charge == label) for label in range(charge.max() + 1)]
+        self.spectrum = _sector_spectrum(self.hamiltonian, sectors, ascending=True)
+        self.part_spectra = tuple(_sector_spectrum(p, sectors, ascending=False)
+                                  for p in parts)
         self.transitions: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -142,23 +179,24 @@ def _tuple_walk(spec: HamiltonianSpec, depth: int, leaf) -> None:
     """
     embedded = [embed(term, spec.lattice) for term in spec.terms]
     supports = [set(term.support) for term in spec.terms]
-    count = len(embedded)
+    for matrix, support in zip(embedded, supports):
+        _descend(embedded, supports, depth, leaf, matrix, support)
 
-    def descend(level: int, current: np.ndarray, union: set[int]) -> None:
-        for idx in range(count):
-            if not supports[idx] & union:
-                continue
-            nxt = embedded[idx] @ current - current @ embedded[idx]
-            if level == depth:
-                leaf(nxt)
-            else:
-                descend(level + 1, nxt, union | supports[idx])
 
-    for first in range(count):
-        if depth == 0:
-            leaf(embedded[first])
-        else:
-            descend(1, embedded[first], set(supports[first]))
+def _descend(embedded, supports, levels: int, leaf, current: np.ndarray, union: set) -> None:
+    """Hand ``leaf`` every commutator of ``levels`` more overlapping terms with ``current``.
+
+    Not a closure: a nested function that calls itself forms a reference
+    cycle, which would keep every embedded term alive until the cyclic
+    garbage collector runs.
+    """
+    if levels == 0:
+        leaf(current)
+        return
+    for matrix, support in zip(embedded, supports):
+        if support & union:
+            _descend(embedded, supports, levels - 1, leaf,
+                     matrix @ current - current @ matrix, union | support)
 
 
 def nested_commutator_sum(spec: HamiltonianSpec, depth: int,

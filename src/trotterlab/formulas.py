@@ -110,7 +110,9 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
     The block moves into the eigenbasis V_gamma of the first stage's group;
     a stage multiplies by exp(-i alpha t lambda_gamma), a change of group by
     the transition V_b^dag V_a, and the last group's V maps the block back.
-    Consecutive stages of one group merge.  ``transitions`` caches
+    Consecutive stages of one group merge; a stage label outside 1..Gamma is
+    refused (the coefficient sums are not checked, see ``validate_plan``).
+    ``transitions`` caches
     V_a^dag V_b for a < b (the other direction is its adjoint); pass the
     same dict to reuse them across calls.
     """
@@ -126,6 +128,9 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
         transitions = {}
     runs = [(gamma, sum(alpha for _, alpha in stages))
             for gamma, stages in groupby(plan.stages, key=itemgetter(0))]
+    for gamma, _ in runs:
+        if not 1 <= gamma <= plan.gamma_count:
+            raise ValueError(f"stage label {gamma} outside 1..{plan.gamma_count}")
     current = runs[0][0]
     block = apply_matrix(parts_spectra[current - 1].eigenvectors.conj().T, block)
     for gamma, alpha in runs:

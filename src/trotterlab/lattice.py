@@ -38,11 +38,20 @@ COMPLEX_BYTES = np.dtype(complex).itemsize
 HERMITICITY_TOL = 1e-12
 PSD_MARGIN_FACTOR = 1e-10
 COMMUTATION_FACTOR = 1e-12
-SECTOR_EIGENVALUE_TOL = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _ladder(local_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Magnetic quantum numbers (decreasing) and the real raising operator S^+."""
+    if local_dim < 2:
+        raise ValueError("need local_dim >= 2")
+    s = (local_dim - 1) / 2
+    m = s - np.arange(local_dim)
+    sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
+    return m, sp
 
 
 def spin_matrices(local_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,17 +59,11 @@ def spin_matrices(local_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Basis ordered by decreasing magnetic quantum number, ``hbar = 1``.
     """
-    if local_dim < 2:
-        raise ValueError("need local_dim >= 2")
-    s = (local_dim - 1) / 2
-    m = s - np.arange(local_dim)
-    sz = np.diag(m).astype(complex)
-    amp = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
-    sp = np.zeros((local_dim, local_dim), dtype=complex)
-    sp[np.arange(local_dim - 1), np.arange(1, local_dim)] = amp
+    m, sp = _ladder(local_dim)
+    sp = sp.astype(complex)
     sx = (sp + sp.conj().T) / 2
     sy = (sp - sp.conj().T) / 2j
-    return sx, sy, sz
+    return sx, sy, np.diag(m).astype(complex)
 
 
 def physical_memory() -> int:
@@ -197,26 +200,37 @@ class HamiltonianSpec:
 
 
 def _total_spin_squared(n_sites: int, local_dim: int) -> np.ndarray:
-    ops = spin_matrices(local_dim)
-    dim = local_dim ** n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for op in ops:
-        comp = sum(embed_block(op, [i], n_sites, local_dim) for i in range(n_sites))
-        total += comp @ comp
-    return total
+    """(S_tot)^2 = S^- S^+ + S^z (S^z + 1) on ``n_sites`` sites, real.
+
+    Every entry between different total S^z is a sum of products with a
+    zero factor, so it is exactly 0.
+    """
+    m, sp = _ladder(local_dim)
+    raise_total = sum(embed_block(sp, [i], n_sites, local_dim) for i in range(n_sites))
+    sz_total = sum(embed_block(np.diag(m), [i], n_sites, local_dim) for i in range(n_sites))
+    return raise_total.T @ raise_total + sz_total @ (sz_total + np.eye(sz_total.shape[0]))
 
 
 def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.ndarray:
     """Projector onto the total-spin sector with (S_tot)^2 eigenvalue ``casimir``.
 
-    Eigendecomposes the total-spin square on the block and sums the
-    eigenvectors within ``SECTOR_EIGENVALUE_TOL`` of the target eigenvalue.
+    ``casimir`` must be S(S+1) for a total spin S that the sites allow (n s,
+    n s - 1, ... down to 0 or 1/2).  The projector is the Casimir polynomial
+    prod_{S' != S} (C - S'(S'+1)) / (S(S+1) - S'(S'+1)) of C = (S_tot)^2, so
+    like C it is exactly 0 between different total S^z.
     """
-    w, v = np.linalg.eigh(_total_spin_squared(n_sites, local_dim))
-    cols = v[:, np.abs(w - casimir) < SECTOR_EIGENVALUE_TOL]
-    if cols.shape[1] == 0:
-        raise ValueError(f"no eigenvalue near {casimir} in sector spectrum")
-    return cols @ cols.conj().T
+    top = n_sites * (local_dim - 1) / 2
+    allowed = [(top - j) * (top - j + 1) for j in range(int(top) + 1)]
+    if casimir not in allowed:
+        raise ValueError(f"{casimir} is not S(S+1) for a total spin S of {n_sites} "
+                         f"sites of dimension {local_dim}; allowed: {allowed}")
+    c = _total_spin_squared(n_sites, local_dim)
+    eye = np.eye(c.shape[0])
+    proj = eye
+    for other in allowed:
+        if other != casimir:
+            proj = proj @ (c - other * eye) / (casimir - other)
+    return proj
 
 
 def build_aklt(num_sites: int) -> HamiltonianSpec:

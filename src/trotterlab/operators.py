@@ -1,14 +1,17 @@
-"""Dense operator engine: embedding, assembly, propagators, projectors, norms.
+"""Dense operator engine: embedding, assembly, charges, propagators, projectors, norms.
 
 Every operator is a dense ndarray: float64 when every term block of its
-spec is real (all built-in models), complex128 otherwise.  Every spectrum
-is the result of ``np.linalg.eigh`` (ascending ``eigenvalues``, orthonormal
-``eigenvectors`` columns), so a real Hamiltonian has real eigenvectors.
-Spectral norms come from the Hermitian eigendecomposition of A^dag A;
-propagators from the eigendecomposition of the (Hermitian) generator,
-reused across times.
+spec is real (all built-in models), complex128 otherwise.  A spectrum is
+a pair of ``eigenvalues`` and orthonormal ``eigenvectors`` columns (a
+``Spectrum``, or an ``np.linalg.eigh`` result); ``ErrorLab`` builds each
+one with an ``eigh`` per sector of ``conserved_charge``, and a real
+Hamiltonian gets real eigenvectors.  Spectral norms come from the Hermitian
+eigendecomposition of A^dag A; propagators from the eigendecomposition of
+the (Hermitian) generator, reused across times.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +19,13 @@ from .embedding import block_entries, embed_block
 from .lattice import HamiltonianSpec, LatticeSpec, LocalTerm
 
 SPECTRAL_TIE_TOL = 1e-12
+
+
+class Spectrum(NamedTuple):
+    """Eigenvalues and the matching orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
@@ -36,8 +46,36 @@ def assemble(spec: HamiltonianSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     return total, partials
 
 
+def _digit_sums(num_sites: int, local_dim: int) -> np.ndarray:
+    """Sum of the base-``local_dim`` digits of every basis index of ``num_sites`` sites."""
+    return np.sum(np.unravel_index(np.arange(local_dim ** num_sites),
+                                   (local_dim,) * num_sites), axis=0)
+
+
+def _conserves(block: np.ndarray, local_charge: np.ndarray) -> bool:
+    """True when ``block`` is exactly 0 between local states of unequal charge."""
+    return not block[np.not_equal.outer(local_charge, local_charge)].any()
+
+
+def conserved_charge(spec: HamiltonianSpec) -> np.ndarray:
+    """One integer label per basis state, a charge that every term conserves exactly.
+
+    The digit sum (total S^z up to a shift) when every term block is exactly
+    0 between local states of unequal digit sums; otherwise the digit sum
+    mod 2 when the same holds for it; otherwise a single label.  No
+    tolerance: an entry of 1e-300 between two charges breaks conservation.
+    H and every group are then block diagonal on the states of equal label.
+    """
+    n, d = spec.lattice.num_sites, spec.lattice.local_dim
+    for modulus in (n * (d - 1) + 1, 2):   # the digit sum itself, then its parity
+        if all(_conserves(term.block, _digit_sums(len(term.support), d) % modulus)
+               for term in spec.terms):
+            return _digit_sums(n, d) % modulus
+    return np.zeros(d ** n, dtype=int)
+
+
 def evolve(spectrum, t: float) -> np.ndarray:
-    """Unitary exp(-i t H) from the ``eigh`` result of H."""
+    """Unitary exp(-i t H) from the spectrum of H."""
     phases = np.exp(-1j * t * spectrum.eigenvalues)
     v = spectrum.eigenvectors
     return (v * phases) @ v.conj().T

@@ -5,8 +5,11 @@ Trotter propagators are matrices, steps are a matrix power, the low-energy
 subspace is a projector and a projected commutator leaf is the sandwich
 P C P.  ``ErrorLab`` computes the same numbers on the eigenvector block;
 the tests compare the two routes.  Terms are embedded here by Kronecker
-products and an axis permutation, not by the package's digit scatter.
+products and an axis permutation, not by the package's digit scatter, and
+every spectrum is one dense ``np.linalg.eigh`` of the whole matrix: a lab
+is read only for its spec, never for its sector spectra.
 """
+import functools
 import itertools
 import math
 
@@ -46,16 +49,24 @@ def kron_assemble(spec):
     return total, partials
 
 
+@functools.lru_cache(maxsize=4)
+def dense_spectra(spec):
+    """Dense ``eigh`` of ``kron_assemble(spec)``: H's spectrum, then each group's."""
+    total, partials = kron_assemble(spec)
+    return np.linalg.eigh(total), [np.linalg.eigh(p) for p in partials]
+
+
 def difference(lab, plan, t, steps=1):
     """exp(-iHt) - T_p(t/steps)**steps, with T_p multiplied out from the identity."""
-    trotter = np.eye(lab.hamiltonian.shape[0], dtype=complex)
+    spectrum, part_spectra = dense_spectra(lab.spec)
+    trotter = np.eye(spectrum.eigenvalues.size, dtype=complex)
     for gamma, alpha in plan.stages:
-        trotter = tl.evolve(lab.part_spectra[gamma - 1], alpha * (t / steps)) @ trotter
-    return tl.evolve(lab.spectrum, t) - np.linalg.matrix_power(trotter, steps)
+        trotter = tl.evolve(part_spectra[gamma - 1], alpha * (t / steps)) @ trotter
+    return tl.evolve(spectrum, t) - np.linalg.matrix_power(trotter, steps)
 
 
 def projector(lab, delta):
-    return tl.low_energy_projector(lab.spectrum, delta)
+    return tl.low_energy_projector(dense_spectra(lab.spec)[0], delta)
 
 
 def errors(lab, plan, t, deltas, steps=1):

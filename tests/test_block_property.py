@@ -5,8 +5,10 @@ Random PSD local terms on up to five qubits are grouped by
 ``ErrorLab.errors`` must match the dense propagator difference of
 ``oracle_dense``, and the projected commutator sums on the block must match
 the projector sandwich.  Complex Hermitian terms run in complex128 and
-real-symmetric ones in float64; both are drawn.  Examples are derandomized
-so the suite stays deterministic.
+real-symmetric ones in float64; both are drawn.  A third family masks the
+terms to a conserved charge (digit sum or its parity, d = 2 or 3), so the
+lab's sector spectra are checked against one dense ``eigh``.  Examples are
+derandomized so the suite stays deterministic.
 """
 import math
 
@@ -39,6 +41,40 @@ def random_specs(draw, real: bool = False) -> tl.HamiltonianSpec:
     spec = tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality)
     assert spec.dtype == (np.float64 if real else np.complex128)
     return spec
+
+
+def digit_sums(num_sites, local_dim):
+    index = np.arange(local_dim ** num_sites)
+    return sum(index // local_dim ** k % local_dim for k in range(num_sites))
+
+
+@st.composite
+def charged_specs(draw):
+    """PSD terms that are exactly 0 between unequal charges, with the modulus used.
+
+    The charge is the digit sum (modulus None) or its parity (modulus 2).
+    """
+    local_dim = draw(st.sampled_from((2, 3)))
+    modulus = draw(st.sampled_from((None, 2)))
+    real = draw(st.booleans())
+    num_sites = draw(st.integers(2, 5 if local_dim == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 2))
+        support = tuple(sorted(rng.choice(num_sites, size=size, replace=False).tolist()))
+        charge = digit_sums(size, local_dim)
+        if modulus:
+            charge %= modulus
+        raw = rng.standard_normal((local_dim ** size,) * 2)
+        if not real:
+            raw = raw + 1j * rng.standard_normal((local_dim ** size,) * 2)
+        raw[charge[:, None] != charge] = 0
+        terms.append(tl.LocalTerm(support, raw @ raw.conj().T / local_dim ** size))
+    lattice = tl.LatticeSpec(num_sites, local_dim)
+    partition = tl.greedy_partition(lattice, terms)
+    locality = max(len(term.support) for term in terms)
+    return tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality), modulus
 
 
 ERROR_DRAWS = dict(order_p=st.sampled_from((1, 2, 4, 6)), t=st.floats(0.0, 1.0),
@@ -89,3 +125,20 @@ def test_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
 @given(spec=random_specs(real=True), **COMMUTATOR_DRAWS)
 def test_real_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
     check_commutator_sum(spec, depth, fraction)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=charged_specs(), **ERROR_DRAWS)
+def test_sector_spectra_and_errors_match_dense_oracle(drawn, order_p, t, fractions, inf_at,
+                                                      steps):
+    spec, modulus = drawn
+    sums = digit_sums(spec.lattice.num_sites, spec.lattice.local_dim)
+    charge = tl.conserved_charge(spec)
+    if modulus is None:
+        assert np.array_equal(charge, sums)
+    else:   # a parity mask may conserve the digit sum as well
+        assert np.array_equal(charge, sums) or np.array_equal(charge, sums % 2)
+    lab = tl.ErrorLab(spec)
+    dense = np.linalg.eigvalsh(oracle_dense.kron_assemble(spec)[0])
+    assert np.abs(lab.spectrum.eigenvalues - dense).max() <= 1e-12
+    check_errors(spec, order_p, t, fractions, inf_at, steps)

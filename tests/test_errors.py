@@ -20,6 +20,28 @@ from trotterlab import errors, lattice
 from trotterlab.errors import lab_bytes
 
 
+def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
+    sizes = []
+    real_eigh = errors.eigh
+
+    def counting_eigh(matrix):
+        sizes.append(matrix.shape[0])
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(errors, "eigh", counting_eigh)
+    lab = tl.ErrorLab(tl.build_aklt(4))
+    # the 9 total-S^z sectors of four spin-1 sites, for H and then each group
+    assert sizes == [1, 4, 10, 16, 19, 16, 10, 4, 1] * 3
+    h, parts = oracle_dense.kron_assemble(lab.spec)
+    assert np.all(np.diff(lab.spectrum.eigenvalues) >= 0)
+    for spectrum, matrix in zip((lab.spectrum, *lab.part_spectra), (h, *parts)):
+        assert np.abs(np.sort(spectrum.eigenvalues)
+                      - np.linalg.eigvalsh(matrix)).max() <= 1e-12
+        v, w = spectrum.eigenvectors, spectrum.eigenvalues
+        assert np.abs(v.T @ v - np.eye(81)).max() <= 1e-12
+        assert np.abs((v * w) @ v.T - matrix).max() <= 1e-12
+
+
 def test_full_error_against_expm_oracle(lab_cache):
     lab = lab_cache("aklt", 3)
     spec = lab.spec

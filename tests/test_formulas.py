@@ -118,6 +118,18 @@ def test_apply_plan_input_validation(aklt4):
         tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(27))
 
 
+def test_apply_plan_refuses_bad_labels(mg4):
+    # label 0 used to index the last group's spectrum silently
+    gamma = mg4.spec.gamma_count
+    eye = np.eye(mg4.spec.lattice.hilbert_dim)
+    for bad in (0, gamma + 1):
+        plan = FormulaPlan(1, gamma, ((bad, 1.0), *((g, 1.0) for g in range(2, gamma + 1))))
+        with pytest.raises(ValueError, match=f"stage label {bad} outside 1..{gamma}"):
+            tl.apply_plan(plan, mg4.part_spectra, 0.1, eye)
+        with pytest.raises(ValueError, match="stage label"):
+            mg4.full_error(plan, 0.1)
+
+
 def test_error_halving_ratio(mg4):
     # e(t) = C t^{p+1} + O(t^{p+2}), so e(t)/e(t/2) ~ 2^{p+1}
     t = 0.02

@@ -66,6 +66,37 @@ def test_sector_projector_is_projector():
     assert round(float(np.trace(proj).real)) == 5
 
 
+def eigh_sector_projector(n_sites, local_dim, casimir):
+    # the former construction: eigenvectors of (S_tot)^2 near the target value
+    total = sum(op @ op for op in (
+        sum(tl.embed_block(a, [i], n_sites, local_dim) for i in range(n_sites))
+        for a in spin_matrices(local_dim)))
+    w, v = np.linalg.eigh(total)
+    cols = v[:, np.abs(w - casimir) < 1e-8]
+    return cols @ cols.conj().T
+
+
+@pytest.mark.parametrize("build, n_sites, local_dim, casimir",
+                         [(tl.build_aklt, 2, 3, 6.0), (tl.build_mg, 3, 2, 15 / 4)])
+def test_casimir_projector_is_exactly_charge_conserving(build, n_sites, local_dim, casimir):
+    block = build(n_sites).terms[0].block
+    index = np.arange(local_dim ** n_sites)
+    digit_sum = sum(index // local_dim ** k % local_dim for k in range(n_sites))
+    off_charge = block[digit_sum[:, None] != digit_sum]
+    assert off_charge.size and np.all(off_charge == 0.0)
+    reference = eigh_sector_projector(n_sites, local_dim, casimir)
+    assert np.abs(block - reference).max() <= 1e-15
+
+
+def test_casimir_must_be_an_allowed_total_spin():
+    # two spin-1 sites allow S = 0, 1, 2; three spin-1/2 sites allow S = 1/2, 3/2
+    for n_sites, local_dim, casimir in ((2, 3, 5.0), (2, 3, 12.0), (3, 2, 2.0), (3, 2, 0.0)):
+        with pytest.raises(ValueError, match="is not S\\(S\\+1\\)"):
+            spin_sector_projector(n_sites, local_dim, casimir)
+    proj = spin_sector_projector(3, 2, 0.75)   # the two spin-1/2 doublets
+    assert round(float(np.trace(proj))) == 4
+
+
 def test_aklt_bond_matches_polynomial_oracle():
     spec = tl.build_aklt(2)
     assert len(spec.terms) == 1

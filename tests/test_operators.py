@@ -6,6 +6,8 @@ reference), the matrix exponential against ``scipy.linalg.expm`` and the
 spectral norm against ``np.linalg.norm(A, 2)``.  Site 0 is the most
 significant digit of a basis index.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -167,3 +169,34 @@ def test_projector_commutes_with_hamiltonian(aklt4):
     proj = tl.low_energy_projector(aklt4.spectrum, 1.0)
     h, _ = tl.assemble(aklt4.spec)
     assert tl.spectral_norm(proj @ h - h @ proj) < 1e-9
+
+
+def test_charge_detection_on_built_in_models():
+    # AKLT: U(1), 13 sectors of trinomial size; MG: U(1), binomial sizes;
+    # lr: only the parity of the digit sum, as its XX and YY groups flip pairs
+    trinomial = [1, 6, 21, 50, 90, 126, 141, 126, 90, 50, 21, 6, 1]
+    assert np.bincount(tl.conserved_charge(tl.build_aklt(6))).tolist() == trinomial
+    binomial = [math.comb(10, k) for k in range(11)]
+    assert np.bincount(tl.conserved_charge(tl.build_mg(10))).tolist() == binomial
+    charge = tl.conserved_charge(tl.build_long_range_heisenberg(6, 2.0))
+    assert np.bincount(charge).tolist() == [32, 32]
+    # site 0 is the most significant digit; parity of the digit sum
+    assert charge[[0b000000, 0b000001, 0b100000, 0b110000]].tolist() == [0, 1, 1, 0]
+
+
+def test_charge_detection_falls_back_exactly():
+    lattice = LatticeSpec(3, 2)
+    rng = np.random.default_rng(7)
+    generic = LocalTerm((0, 2), random_hermitian(4, rng) + 10 * np.eye(4))
+    spec = tl.HamiltonianSpec(lattice, (generic,), (1,), locality_k=2)
+    assert np.unique(tl.conserved_charge(spec)).tolist() == [0]
+    # one off-charge entry of 1e-300 breaks the digit sum (|00> and |01>),
+    # then its parity too; one between |00> and |11> leaves the parity
+    for pair, sectors in (((0, 1), 1), ((0, 3), 2)):
+        block = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        block[pair] = block[pair[::-1]] = 1e-300
+        spec = tl.HamiltonianSpec(lattice, (LocalTerm((0, 1), block),), (1,), locality_k=2)
+        assert np.unique(tl.conserved_charge(spec)).size == sectors
+    block = np.diag([1.0, 2.0, 3.0, 4.0])
+    spec = tl.HamiltonianSpec(lattice, (LocalTerm((0, 1), block),), (1,), locality_k=2)
+    assert np.unique(tl.conserved_charge(spec)).size == 4

@@ -1,0 +1,146 @@
+"""Mutation battery: each mutant is one exact text edit that the named tests must catch.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # only these
+
+Run from anywhere inside a checkout; the working tree is never edited.  The
+named tests first run once on an unmutated copy and must pass.  Then, for
+each row of ``MUTANTS``, the tree is copied to a temporary directory, the
+row's old text (which must occur exactly once in its file) is replaced by
+its new text, and the row's tests run there with pytest.  A mutant is
+killed when pytest reports failures or errors, and survives when the tests
+pass.  Prints a Markdown table and exits 1 when a mutant survives, when an
+old text is not found exactly once (moved code fails loudly), or when the
+baseline or a pytest run itself goes wrong; otherwise 0.  Not part of the
+Tier-1 suite: one full run takes a few minutes.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                 ".benchmarks", "out")
+RUN_TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str            # relative to the root of the checkout
+    old: str             # exact text, found exactly once
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("sector-map-drops-a-state", "src/trotterlab/errors.py",
+           "for label in range(charge.max() + 1)]",
+           "for label in range(1, charge.max() + 1)]",   # basis state 0 is its own U(1) sector
+           ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
+            "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
+    Mutant("detection-ignores-off-charge-entries", "src/trotterlab/operators.py",
+           "return not block[np.not_equal.outer(local_charge, local_charge)].any()",
+           "return True",
+           ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
+    Mutant("apply-plan-accepts-any-label", "src/trotterlab/formulas.py",
+           "        if not 1 <= gamma <= plan.gamma_count:\n"
+           "            raise ValueError(",
+           "        if False:\n"
+           "            raise ValueError(",
+           ("tests/test_formulas.py::test_apply_plan_refuses_bad_labels",)),
+    Mutant("second-order-not-palindromic", "src/trotterlab/formulas.py",
+           "stages = forward + forward[::-1]", "stages = forward + forward",
+           ("tests/test_formulas.py",)),
+    Mutant("stepped-plan-keeps-full-time", "src/trotterlab/errors.py",
+           "apply_plan(stepped, self.part_spectra, t / steps,",
+           "apply_plan(stepped, self.part_spectra, t,",
+           ("tests/test_errors.py",)),
+    Mutant("basis-transposed-without-conjugate", "src/trotterlab/formulas.py",
+           "apply_matrix(parts_spectra[current - 1].eigenvectors.conj().T, block)",
+           "apply_matrix(parts_spectra[current - 1].eigenvectors.T, block)",
+           ("tests/test_block_property.py::test_block_errors_match_dense_oracle",)),
+    Mutant("transition-without-adjoint", "src/trotterlab/formulas.py",
+           "step if gamma < current else step.conj().T", "step",
+           ("tests/test_formulas.py",)),
+    Mutant("merged-stages-keep-one-coefficient", "src/trotterlab/formulas.py",
+           "sum(alpha for _, alpha in stages)", "next(stages)[1]",
+           ("tests/test_formulas.py",)),
+    Mutant("prefix-off-by-one", "src/trotterlab/errors.py",
+           "_matrix_norm(diff[:, :m])", "_matrix_norm(diff[:, :m + 1])",
+           ("tests/test_block_property.py::test_block_errors_match_dense_oracle",)),
+    Mutant("apply-matrix-drops-imaginary-part", "src/trotterlab/operators.py",
+           "return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)",
+           "return (a @ x.real).astype(np.complex128)",
+           ("tests/test_operators.py",)),
+    Mutant("reversed-place-values", "src/trotterlab/embedding.py",
+           "weights = d ** (n - 1 - np.array(where, dtype=int))",
+           "weights = d ** np.array(where, dtype=int)",
+           ("tests/test_embedding_property.py",)),
+    Mutant("reversed-local-factor-order", "src/trotterlab/embedding.py",
+           "local = d ** np.arange(s - 1, -1, -1)", "local = d ** np.arange(s)",
+           ("tests/test_embedding_property.py",)),
+)
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    """Exit code of pytest on ``tests`` inside ``tree``, importing its own ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S).returncode
+
+
+def _run(mutant: Mutant | None, tests: tuple[str, ...]) -> str:
+    """'killed', 'survived', 'passed' or an error, for one copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        if mutant is not None:
+            target = tree / mutant.path
+            text = target.read_text(encoding="utf-8")
+            found = text.count(mutant.old)
+            if found != 1:
+                return f"error: old text found {found} times"
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code = _pytest(tree, tests)
+    if code == 0:
+        return "passed" if mutant is None else "survived"
+    if code in (1, 2):   # test failures, or errors while collecting them
+        return "failed" if mutant is None else "killed"
+    return f"error: pytest exit code {code}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args()
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    baseline = _run(None, tests)
+    print(f"baseline ({len(tests)} test targets, unmutated): {baseline}")
+    if baseline != "passed":
+        return 1
+    print("| mutant | file | result |")
+    print("|---|---|---|")
+    results = []
+    for mutant in chosen:
+        result = _run(mutant, mutant.tests)
+        results.append(result)
+        print(f"| {mutant.name} | `{mutant.path}` | {result} |", flush=True)
+    return 0 if all(result == "killed" for result in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
