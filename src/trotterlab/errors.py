@@ -5,23 +5,22 @@ P projects onto eigenstates with energy at most delta.  It depends only on
 the block V of those eigenvectors, since exp(-iHt) V = V exp(-iEt): the
 error is ||V exp(-iEt) - T_p(t) V||, and with every column it is the full
 norm, as V is then unitary.  Every term conserves the charge of
-``conserved_charge``, so H and each group Hamiltonian are block diagonal on
-its sectors: ``ErrorLab`` diagonalizes them with one ``eigh`` per sector
-and scatters the sector eigenvectors into dense dim x dim columns.  Sweeps
-over (p, t, delta) then only pay for phases and transitions on the block
-and norms.
+``conserved_charge``, so H, each group Hamiltonian, both propagators and P
+are block diagonal on its sectors, and the norm of a block-diagonal matrix
+is the largest norm of its blocks.  ``ErrorLab`` works sector by sector:
+no dim x dim matrix outlives its constructor.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigh
 
 from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
-from .operators import (Spectrum, _matrix_norm, assemble, conserved_charge, embed,
-                        low_energy_mask)
+from .operators import _matrix_norm, assemble, conserved_charge, embed, low_energy_mask
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -37,7 +36,8 @@ def lab_bytes(spec: HamiltonianSpec) -> int:
 
     s is the itemsize of ``spec.dtype`` (8 when every term is real, else 16).
     It counts H and its eigenvectors, the Gamma group Hamiltonians and their
-    eigenvectors, and the transitions between group eigenbases; B =
+    eigenvectors, and the transitions between group eigenbases as if each
+    were dense, so with charge sectors it is an upper bound; B =
     ``LAB_COMPLEX_BLOCKS`` complex blocks hold a full error's working set.
     """
     gamma = spec.gamma_count
@@ -46,89 +46,89 @@ def lab_bytes(spec: HamiltonianSpec) -> int:
     return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
 
 
-def _sector_spectrum(matrix: np.ndarray, sectors: list[np.ndarray],
-                     ascending: bool) -> Spectrum:
-    """Spectrum of a matrix that is block diagonal on ``sectors``, one ``eigh`` per sector.
+class Sector(NamedTuple):
+    """A charge sector's basis states, the ``eigh`` of H (eigenvalues ascending) and of
+    each group on them, and the transitions that ``apply_plan`` caches for it."""
 
-    Each sector's eigenvectors go straight into their dense columns, zero
-    off the sector's rows.  With ``ascending`` the eigenvalues are stably
-    sorted, ties in sector order; otherwise the columns follow the sectors
-    and each sector's ``eigh`` result is dropped once it is written.
-    """
-    dim = matrix.shape[0]
-    vectors = np.zeros_like(matrix)
-    parts = (eigh(matrix[np.ix_(rows, rows)]) for rows in sectors)
-    if ascending:   # every eigenvalue is needed before the first column is known
-        parts = list(parts)
-        values = np.concatenate([part.eigenvalues for part in parts])
-        order = np.argsort(values, kind="stable")
-    else:
-        values, order = np.empty(dim), np.arange(dim)
-    columns = np.argsort(order)   # where each sector eigenpair lands
-    start = 0
-    for rows, part in zip(sectors, parts):
-        stop = start + rows.size
-        values[start:stop] = part.eigenvalues
-        vectors[np.ix_(rows, columns[start:stop])] = part.eigenvectors
-        start = stop
-    return Spectrum(values[order], vectors)
+    rows: np.ndarray
+    spectrum: tuple
+    part_spectra: tuple
+    transitions: dict
 
 
 class ErrorLab:
-    """Spectra cache plus error evaluators for one Hamiltonian spec.
+    """Per-sector spectra plus error evaluators for one Hamiltonian spec.
 
-    Keeps H, the spectra of H (eigenvalues ascending) and of each group's
-    partial Hamiltonian (in sector order), and the transitions between
-    group eigenbases that ``apply_plan`` builds (at most Gamma (Gamma - 1)/2,
-    each once); the partial Hamiltonians themselves are dropped.  Every
-    spectrum is dense, dim x dim eigenvectors, built with one ``eigh`` per
-    charge sector.  Everything is float64 when every term block is real,
-    complex128 otherwise.
+    ``sectors`` holds one ``Sector`` per label of ``conserved_charge`` (one
+    when nothing is conserved); the dense H and groups are dropped once cut.
+    Everything is float64 when every term block is real, complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
         require_memory(lab_bytes(spec),
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
-        self.hamiltonian, parts = assemble(spec)
+        hamiltonian, parts = assemble(spec)
         charge = conserved_charge(spec)
+        self.sectors: list[Sector] = []
         # every label from 0 to the largest occurs; np.unique would import numpy.ma
-        sectors = [np.flatnonzero(charge == label) for label in range(charge.max() + 1)]
-        self.spectrum = _sector_spectrum(self.hamiltonian, sectors, ascending=True)
-        self.part_spectra = tuple(_sector_spectrum(p, sectors, ascending=False)
-                                  for p in parts)
-        self.transitions: dict[tuple[int, int], np.ndarray] = {}
+        for label in range(charge.max() + 1):
+            rows = np.flatnonzero(charge == label)
+            index = np.ix_(rows, rows)
+            self.sectors.append(Sector(rows, eigh(hamiltonian[index]),
+                                       tuple(eigh(part[index]) for part in parts), {}))
+        self.max_energy = max(float(s.spectrum.eigenvalues[-1]) for s in self.sectors)
 
-    @property
-    def max_energy(self) -> float:
-        return float(self.spectrum.eigenvalues[-1])
+    def _column_counts(self, delta: float | None) -> list[int]:
+        """Per sector, the number of eigenvalues <= delta (ties included); None means all.
 
-    def _column_count(self, delta: float | None) -> int:
-        """Number of eigenvalues <= delta (ties included); None means all."""
+        One mask over all sectors keeps the tie slack at the whole spectrum's
+        scale; a sector's eigenvalues ascend, so its count is a column prefix.
+        """
+        sizes = [sector.rows.size for sector in self.sectors]
         if delta is None:
-            return self.spectrum.eigenvalues.size
-        return int(np.count_nonzero(low_energy_mask(self.spectrum.eigenvalues, delta)))
+            return sizes
+        mask = low_energy_mask(np.concatenate([s.spectrum.eigenvalues for s in self.sectors]),
+                               delta)
+        return [int(np.count_nonzero(part)) for part in np.split(mask, np.cumsum(sizes)[:-1])]
+
+    def _scatter(self, columns: list[slice]) -> np.ndarray:
+        """dim x m block of each sector's eigenvector ``columns``, zero off its rows."""
+        blocks = [s.spectrum.eigenvectors[:, cut] for s, cut in zip(self.sectors, columns)]
+        out = np.zeros((self.spec.lattice.hilbert_dim, sum(v.shape[1] for v in blocks)),
+                       dtype=self.spec.dtype)
+        start = 0
+        for sector, vectors in zip(self.sectors, blocks):
+            out[sector.rows, start:start + vectors.shape[1]] = vectors
+            start += vectors.shape[1]
+        return out
 
     def low_column_basis(self, delta: float | None) -> np.ndarray:
-        """Eigenvector columns with eigenvalue <= delta: a prefix, as eigenvalues ascend."""
-        return self.spectrum.eigenvectors[:, :self._column_count(delta)]
+        """Orthonormal eigenvector columns with eigenvalue <= delta, in sector order."""
+        return self._scatter([slice(m) for m in self._column_counts(delta)])
 
     def errors(self, plan: FormulaPlan, t: float,
                deltas: list[float] | tuple[float, ...], steps: int = 1) -> list[float]:
         """Norms of (exp(-iHt) - T_p(t/steps)**steps) P_delta, one per cutoff.
 
-        Each cutoff takes its column prefix of one difference on the widest
-        block; None or inf means every column, the full norm.
+        Each sector takes one difference on its widest cutoff's column prefix,
+        and a cutoff's norm is the largest of its prefixes'; None or inf means all.
         """
         if steps < 1:
             raise ValueError("need at least one step")
-        counts = [self._column_count(delta) for delta in deltas]
-        block = self.spectrum.eigenvectors[:, :max(counts, default=0)]
-        diff = block * np.exp(-1j * t * self.spectrum.eigenvalues[:block.shape[1]])
+        counts = [self._column_counts(delta) for delta in deltas]
+        norms = [0.0] * len(deltas)
         # the plan repeated steps times at t/steps
         stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps)
-        diff -= apply_plan(stepped, self.part_spectra, t / steps, block, self.transitions)
-        return [_matrix_norm(diff[:, :m]) for m in counts]
+        for s, sector in enumerate(self.sectors):
+            widths = [count[s] for count in counts]
+            width = max(widths, default=0)
+            block = sector.spectrum.eigenvectors[:, :width]
+            diff = block * np.exp(-1j * t * sector.spectrum.eigenvalues[:width])
+            diff -= apply_plan(stepped, sector.part_spectra, t / steps, block,
+                               sector.transitions)
+            norms = [max(norm, _matrix_norm(diff[:, :m])) for norm, m in zip(norms, widths)]
+        return norms
 
     def full_error(self, plan: FormulaPlan, t: float) -> float:
         return self.errors(plan, t, (None,))[0]
@@ -141,22 +141,23 @@ class ErrorLab:
         return self.errors(plan, t, (delta,), steps)[0]
 
     def leakage_norm(self, op: np.ndarray, delta: float, delta_prime: float) -> float:
-        """Norm of P_above(delta_prime) O P_below(delta)."""
+        """Norm of P_above(delta_prime) O P_below(delta); the high side is each
+        sector's columns past its delta_prime prefix, so it may be empty."""
         if delta_prime <= delta:
             raise ValueError("delta_prime must exceed delta")
-        if op.shape != self.hamiltonian.shape:
+        if op.shape != (self.spec.lattice.hilbert_dim,) * 2:
             raise ValueError("operator dimension does not match the lab")
-        high = self.spectrum.eigenvectors[:, self._column_count(delta_prime):]
-        low = self.low_column_basis(delta)
-        return _matrix_norm(high.conj().T @ op @ low)
+        high = self._scatter([slice(m, None) for m in self._column_counts(delta_prime)])
+        return _matrix_norm(high.conj().T @ op @ self.low_column_basis(delta))
 
     def random_subspace_state(self, delta: float, rng: np.random.Generator) -> np.ndarray:
-        """Haar-ish random unit state inside the low-energy subspace."""
+        """P_delta g / ||P_delta g|| for a complex Gaussian g: a random unit state
+        that depends only on the subspace, not on the eigenvectors spanning it."""
         basis = self.low_column_basis(delta)
         if basis.shape[1] == 0:
             raise ValueError(f"no eigenstates at or below {delta}")
-        coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
-        psi = basis @ coeff
+        g = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
+        psi = basis @ (basis.conj().T @ g)
         return psi / np.linalg.norm(psi)
 
 

@@ -1,17 +1,15 @@
 """Dense operator engine: embedding, assembly, charges, propagators, projectors, norms.
 
 Every operator is a dense ndarray: float64 when every term block of its
-spec is real (all built-in models), complex128 otherwise.  A spectrum is
-a pair of ``eigenvalues`` and orthonormal ``eigenvectors`` columns (a
-``Spectrum``, or an ``np.linalg.eigh`` result); ``ErrorLab`` builds each
-one with an ``eigh`` per sector of ``conserved_charge``, and a real
-Hamiltonian gets real eigenvectors.  Spectral norms come from the Hermitian
-eigendecomposition of A^dag A; propagators from the eigendecomposition of
-the (Hermitian) generator, reused across times.
+spec is real (all built-in models), complex128 otherwise.  A spectrum is an
+``np.linalg.eigh`` result, a pair of ``eigenvalues`` and orthonormal
+``eigenvectors`` columns; ``ErrorLab`` keeps one per sector of
+``conserved_charge``, and a real Hamiltonian gets real eigenvectors.
+Spectral norms come from the Hermitian eigendecomposition of A^dag A;
+propagators from the eigendecomposition of the (Hermitian) generator,
+reused across times.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,13 +17,6 @@ from .embedding import block_entries, embed_block
 from .lattice import HamiltonianSpec, LatticeSpec, LocalTerm
 
 SPECTRAL_TIE_TOL = 1e-12
-
-
-class Spectrum(NamedTuple):
-    """Eigenvalues and the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:

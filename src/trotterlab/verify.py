@@ -128,26 +128,28 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
 def _operator_checks(specs, labs) -> list[CheckResult]:
     out = []
     aklt4 = labs[("aklt", 4)]
-    eye = np.eye(aklt4.hamiltonian.shape[0])
 
     worst = 0.0
     for t in (0.1, 1.0):
-        group = [aklt4.spectrum, *aklt4.part_spectra]
-        for sd in group:
-            u = evolve(sd, t)
-            worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
+        for sector in aklt4.sectors:
+            for sd in (sector.spectrum, *sector.part_spectra):
+                u = evolve(sd, t)
+                worst = max(worst, float(np.abs(u.conj().T @ u - np.eye(len(u))).max()))
     out.append(CheckResult("op-evolve-unitary", worst <= 1e-9, worst, 1e-9))
 
     worst = 0.0
     for delta in (0.5, 1.0):
-        proj = low_energy_projector(aklt4.spectrum, delta)
-        worst = max(worst, float(np.abs(proj @ proj - proj).max()))
-        worst = max(worst, float(np.abs(proj - proj.conj().T).max()))
+        for sector in aklt4.sectors:
+            proj = low_energy_projector(sector.spectrum, delta)
+            worst = max(worst, float(np.abs(proj @ proj - proj).max()))
+            worst = max(worst, float(np.abs(proj - proj.conj().T).max()))
     out.append(CheckResult("op-projector-idempotent", worst <= 1e-10, worst, 1e-10))
 
-    proj = low_energy_projector(aklt4.spectrum, 1.0)
-    u = evolve(aklt4.spectrum, 0.7)
-    comm = float(spectral_norm(u @ proj - proj @ u))
+    comm = 0.0
+    for sector in aklt4.sectors:
+        proj = low_energy_projector(sector.spectrum, 1.0)
+        u = evolve(sector.spectrum, 0.7)
+        comm = max(comm, float(spectral_norm(u @ proj - proj @ u)))
     out.append(CheckResult("op-projector-commutes", comm <= 1e-9, comm, 1e-9))
 
     worst = -math.inf
@@ -161,12 +163,17 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
     resid = 0.0
     for spec in specs:
         lab = labs[(spec.model_tag, spec.lattice.num_sites)]
-        h = lab.hamiltonian
-        eig_norm = float(np.abs(lab.spectrum.eigenvalues).max())
-        dev = max(dev, abs(spectral_norm(h) - eig_norm))
-        v, w = lab.spectrum.eigenvectors, lab.spectrum.eigenvalues
-        rebuilt = (v * w) @ v.conj().T
-        resid = max(resid, float(np.abs(rebuilt - h).max()) / (1.0 + eig_norm))
+        # every battery H is PSD, so its largest |eigenvalue| is max_energy
+        eig_norm = lab.max_energy
+        # what is left of H once every sector's rebuilt block is taken away,
+        # so entries between sectors count too
+        rest, _ = assemble(spec)
+        dev = max(dev, abs(spectral_norm(rest) - eig_norm))
+        for sector in lab.sectors:
+            index = np.ix_(sector.rows, sector.rows)
+            w, v = sector.spectrum
+            rest[index] -= (v * w) @ v.conj().T
+        resid = max(resid, float(np.abs(rest).max()) / (1.0 + eig_norm))
     out.append(CheckResult("op-spectral-norm-eig", dev <= 1e-10, dev, 1e-10))
     out.append(CheckResult("op-spectral-reconstruct", resid <= 1e-9, resid, 1e-9))
     return out
@@ -189,12 +196,13 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     out.append(CheckResult("pf-coefficient-magnitudes", worst_mag <= 1.0, worst_mag, 1.0))
 
     aklt3 = lab_for("aklt", 3)
-    eye = np.eye(aklt3.hamiltonian.shape[0])
     worst = 0.0
     for p in (1, 2, 4):
         plan = suzuki_plan(p, aklt3.spec.gamma_count)
-        u = apply_plan(plan, aklt3.part_spectra, 0.3, eye)
-        worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
+        for sector in aklt3.sectors:
+            eye = np.eye(sector.rows.size)
+            u = apply_plan(plan, sector.part_spectra, 0.3, eye)
+            worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
     out.append(CheckResult("pf-unitary", worst <= 1e-9, worst, 1e-9))
 
     grid = list(np.geomspace(1e-3, 1e-2, 5))

@@ -386,6 +386,8 @@ def test_main_dump_model_round_trip(tmp_path):
 
 
 def test_main_dump_model_rejects_small_chain(monkeypatch, capsys):
+    assert cli.main(["dump-model", "--model", "ising", "--n", "4"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert cli.main(["dump-model", "--model", "mg", "--n", "2"]) == 2
     assert "at least" in capsys.readouterr().err
     assert cli.main(["dump-model", "--model", "lr_heisenberg", "--n", "3",

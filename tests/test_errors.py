@@ -30,16 +30,19 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
 
     monkeypatch.setattr(errors, "eigh", counting_eigh)
     lab = tl.ErrorLab(tl.build_aklt(4))
-    # the 9 total-S^z sectors of four spin-1 sites, for H and then each group
-    assert sizes == [1, 4, 10, 16, 19, 16, 10, 4, 1] * 3
+    # the 9 total-S^z sectors of four spin-1 sites, each for H and then each group
+    assert sizes == [size for size in (1, 4, 10, 16, 19, 16, 10, 4, 1) for _ in range(3)]
+    assert sorted(np.concatenate([sector.rows for sector in lab.sectors])) == list(range(81))
     h, parts = oracle_dense.kron_assemble(lab.spec)
-    assert np.all(np.diff(lab.spectrum.eigenvalues) >= 0)
-    for spectrum, matrix in zip((lab.spectrum, *lab.part_spectra), (h, *parts)):
-        assert np.abs(np.sort(spectrum.eigenvalues)
+    for index, matrix in enumerate((h, *parts)):
+        spectra = [(sector.spectrum, *sector.part_spectra)[index] for sector in lab.sectors]
+        assert all(np.all(np.diff(sd.eigenvalues) >= 0) for sd in spectra)
+        assert np.abs(np.sort(np.concatenate([sd.eigenvalues for sd in spectra]))
                       - np.linalg.eigvalsh(matrix)).max() <= 1e-12
-        v, w = spectrum.eigenvectors, spectrum.eigenvalues
-        assert np.abs(v.T @ v - np.eye(81)).max() <= 1e-12
-        assert np.abs((v * w) @ v.T - matrix).max() <= 1e-12
+        for sector, (w, v) in zip(lab.sectors, spectra):
+            assert np.abs(v.T @ v - np.eye(sector.rows.size)).max() <= 1e-12
+            block = matrix[np.ix_(sector.rows, sector.rows)]
+            assert np.abs((v * w) @ v.T - block).max() <= 1e-12
 
 
 def test_full_error_against_expm_oracle(lab_cache):
@@ -92,7 +95,7 @@ def test_complex_block_assembles_complex_and_matches_oracle():
     assert hamiltonian.dtype == np.complex128
     assert all(part.dtype == np.complex128 for part in parts)
     lab = tl.ErrorLab(spec)
-    assert lab.spectrum.eigenvectors.dtype == np.complex128
+    assert [sector.spectrum.eigenvectors.dtype for sector in lab.sectors] == [np.complex128]
     deltas = (0.1 * lab.max_energy, 0.4 * lab.max_energy, math.inf)
     for p in (1, 2, 4):
         plan = tl.suzuki_plan(p, spec.gamma_count)
@@ -105,16 +108,18 @@ def test_transitions_built_once_and_empty_block_is_zero():
     lab = tl.ErrorLab(tl.build_mg(5))
     plan = tl.suzuki_plan(6, lab.spec.gamma_count)
     lab.errors(plan, 0.2, (1.0, math.inf))
-    built = dict(lab.transitions)
-    # palindromic plans only step between neighbouring groups
-    assert set(built) == {(1, 2), (2, 3)}
+    built = [dict(sector.transitions) for sector in lab.sectors]
+    # palindromic plans only step between neighbouring groups; inf reaches every sector
+    assert all(set(cache) == {(1, 2), (2, 3)} for cache in built)
     lab.errors(plan, 0.7, (0.5, math.inf), steps=2)
-    assert lab.transitions.keys() == built.keys()
-    assert all(lab.transitions[key] is built[key] for key in built)
+    for sector, cache in zip(lab.sectors, built):
+        assert sector.transitions.keys() == cache.keys()
+        assert all(sector.transitions[key] is cache[key] for key in cache)
     assert lab.errors(plan, 0.3, (-1.0, -0.5)) == [0.0, 0.0]
-    empty = tl.apply_plan(plan, lab.part_spectra, 0.3, lab.low_column_basis(-1.0),
-                          lab.transitions)
-    assert empty.shape == (lab.spectrum.eigenvalues.size, 0)
+    sector = lab.sectors[2]
+    empty = tl.apply_plan(plan, sector.part_spectra, 0.3, np.zeros((sector.rows.size, 0)),
+                          sector.transitions)
+    assert empty.shape == (sector.rows.size, 0)
 
 
 def test_projected_monotone_in_delta_and_below_full(aklt4):
@@ -252,7 +257,7 @@ def test_commutator_sums_below_analytic_caps(aklt4, mg4):
 
 
 def test_expectation_sum_ground_state(aklt4):
-    ground = aklt4.spectrum.eigenvectors[:, 0]
+    ground = oracle_dense.dense_spectra(aklt4.spec)[0].eigenvectors[:, 0]
     value, bound = tl.low_energy_expectation_sum(aklt4, 1, ground, 0.0)
     assert bound == 0.0
     assert value <= 1e-9
@@ -278,11 +283,11 @@ def test_expectation_sum_depth_one_frozen_bound(aklt4):
 
 
 def test_expectation_sum_rejects_leaky_state(aklt4):
-    top = aklt4.spectrum.eigenvectors[:, -1]
+    vectors = oracle_dense.dense_spectra(aklt4.spec)[0].eigenvectors
     with pytest.raises(ValueError, match="subspace"):
-        tl.low_energy_expectation_sum(aklt4, 1, top, 0.5)
+        tl.low_energy_expectation_sum(aklt4, 1, vectors[:, -1], 0.5)
     with pytest.raises(ValueError, match="normalized"):
-        tl.low_energy_expectation_sum(aklt4, 1, 2.0 * aklt4.spectrum.eigenvectors[:, 0], 0.5)
+        tl.low_energy_expectation_sum(aklt4, 1, 2.0 * vectors[:, 0], 0.5)
 
 
 def test_random_subspace_state_properties(aklt4):
@@ -293,6 +298,34 @@ def test_random_subspace_state_properties(aklt4):
     assert np.linalg.norm(proj @ psi - psi) < 1e-12
     again = aklt4.random_subspace_state(1.0, np.random.default_rng(5))
     np.testing.assert_allclose(again, psi, atol=1e-14)
+
+
+def test_random_subspace_state_depends_only_on_the_subspace(lab_cache):
+    # the state is P g / ||P g|| for the Gaussian g the seed draws, whatever
+    # eigenvectors span the subspace and whatever order their columns take
+    for lab in (lab_cache("aklt", 4), lab_cache("lr_heisenberg", 5, decay_exponent=2.0)):
+        dim = lab.spec.lattice.hilbert_dim
+        draws = np.random.default_rng(11)
+        g = draws.standard_normal(dim) + 1j * draws.standard_normal(dim)
+        energies = oracle_dense.dense_spectra(lab.spec)[0].eigenvalues
+        delta = energies[0] + 0.3 * (energies[-1] - energies[0])
+        oracle = oracle_dense.projector(lab, delta) @ g
+        psi = lab.random_subspace_state(delta, np.random.default_rng(11))
+        np.testing.assert_allclose(psi, oracle / np.linalg.norm(oracle), rtol=0, atol=1e-12)
+
+
+def test_low_column_basis_spans_the_low_energy_subspace(lab_cache):
+    # AKLT conserves the digit sum (U(1)), lr only its parity
+    for lab in (lab_cache("aklt", 4), lab_cache("lr_heisenberg", 5, decay_exponent=2.0)):
+        energies = oracle_dense.dense_spectra(lab.spec)[0].eigenvalues
+        for fraction in (-0.1, 0.0, 0.1, 0.3, math.inf):
+            delta = energies[0] + fraction * (energies[-1] - energies[0])
+            basis = lab.low_column_basis(delta)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                       rtol=0, atol=1e-12)
+            oracle = (np.eye(lab.spec.lattice.hilbert_dim) if math.isinf(delta)
+                      else oracle_dense.projector(lab, delta))
+            np.testing.assert_allclose(basis @ basis.conj().T, oracle, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------- memory admission
@@ -324,7 +357,7 @@ def test_error_lab_refuses_before_assembly(monkeypatch):
         tl.ErrorLab(spec)
     monkeypatch.undo()
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
-    assert tl.ErrorLab(spec).spectrum.eigenvalues.size == 81
+    assert sum(sector.rows.size for sector in tl.ErrorLab(spec).sectors) == 81
 
 
 RSS_PROBE = r"""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracle_dense
 import trotterlab as tl
 from trotterlab.formulas import EXACT_ERROR_FLOOR, FormulaPlan
 from trotterlab.lattice import LatticeSpec, LocalTerm
@@ -102,20 +103,22 @@ def test_apply_plan_matches_expm_product(mg4):
 def test_apply_plan_negative_time_is_adjoint(aklt4):
     plan = tl.suzuki_plan(2, aklt4.spec.gamma_count)
     eye = np.eye(aklt4.spec.lattice.hilbert_dim)
-    forward = tl.apply_plan(plan, aklt4.part_spectra, 0.4, eye)
-    backward = tl.apply_plan(plan, aklt4.part_spectra, -0.4, eye)
+    part_spectra = oracle_dense.dense_spectra(aklt4.spec)[1]
+    forward = tl.apply_plan(plan, part_spectra, 0.4, eye)
+    backward = tl.apply_plan(plan, part_spectra, -0.4, eye)
     np.testing.assert_allclose(backward, forward.conj().T, atol=1e-12)
 
 
 def test_apply_plan_input_validation(aklt4):
+    part_spectra = oracle_dense.dense_spectra(aklt4.spec)[1]
     plan = tl.suzuki_plan(1, 3)
     with pytest.raises(ValueError, match="group spectra"):
-        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(81))
+        tl.apply_plan(plan, part_spectra, 0.1, np.eye(81))
     plan = tl.suzuki_plan(1, 2)
     with pytest.raises(ValueError, match="shape"):
-        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.ones(81))
+        tl.apply_plan(plan, part_spectra, 0.1, np.ones(81))
     with pytest.raises(ValueError, match="shape"):
-        tl.apply_plan(plan, aklt4.part_spectra, 0.1, np.eye(27))
+        tl.apply_plan(plan, part_spectra, 0.1, np.eye(27))
 
 
 def test_apply_plan_refuses_bad_labels(mg4):
@@ -125,9 +128,11 @@ def test_apply_plan_refuses_bad_labels(mg4):
     for bad in (0, gamma + 1):
         plan = FormulaPlan(1, gamma, ((bad, 1.0), *((g, 1.0) for g in range(2, gamma + 1))))
         with pytest.raises(ValueError, match=f"stage label {bad} outside 1..{gamma}"):
-            tl.apply_plan(plan, mg4.part_spectra, 0.1, eye)
+            tl.apply_plan(plan, oracle_dense.dense_spectra(mg4.spec)[1], 0.1, eye)
         with pytest.raises(ValueError, match="stage label"):
             mg4.full_error(plan, 0.1)
+        with pytest.raises(ValueError, match="stage label"):   # not one column below -1
+            mg4.projected_error(plan, 0.1, -1.0)
 
 
 def test_error_halving_ratio(mg4):

@@ -165,7 +165,7 @@ def test_terms_are_psd_after_build(lab_cache):
 
 def test_frustration_free_ground_energy(aklt4, mg4):
     for lab in (aklt4, mg4):
-        assert abs(float(lab.spectrum.eigenvalues[0])) < 1e-10
+        assert abs(min(float(sector.spectrum.eigenvalues[0]) for sector in lab.sectors)) < 1e-10
 
 
 def test_extensiveness_values():

@@ -42,8 +42,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("sector-map-drops-a-state", "src/trotterlab/errors.py",
-           "for label in range(charge.max() + 1)]",
-           "for label in range(1, charge.max() + 1)]",   # basis state 0 is its own U(1) sector
+           "for label in range(charge.max() + 1):",
+           "for label in range(1, charge.max() + 1):",   # basis state 0 is its own U(1) sector
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
     Mutant("detection-ignores-off-charge-entries", "src/trotterlab/operators.py",
@@ -60,8 +60,8 @@ MUTANTS = (
            "stages = forward + forward[::-1]", "stages = forward + forward",
            ("tests/test_formulas.py",)),
     Mutant("stepped-plan-keeps-full-time", "src/trotterlab/errors.py",
-           "apply_plan(stepped, self.part_spectra, t / steps,",
-           "apply_plan(stepped, self.part_spectra, t,",
+           "apply_plan(stepped, sector.part_spectra, t / steps,",
+           "apply_plan(stepped, sector.part_spectra, t,",
            ("tests/test_errors.py",)),
     Mutant("basis-transposed-without-conjugate", "src/trotterlab/formulas.py",
            "apply_matrix(parts_spectra[current - 1].eigenvectors.conj().T, block)",
@@ -73,6 +73,17 @@ MUTANTS = (
     Mutant("merged-stages-keep-one-coefficient", "src/trotterlab/formulas.py",
            "sum(alpha for _, alpha in stages)", "next(stages)[1]",
            ("tests/test_formulas.py",)),
+    Mutant("errors-skip-first-sector", "src/trotterlab/errors.py",
+           "for s, sector in enumerate(self.sectors):",
+           "for s, sector in enumerate(self.sectors[1:], start=1):",
+           ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
+    Mutant("errors-keep-last-sector-norm", "src/trotterlab/errors.py",
+           "norms = [max(norm, _matrix_norm(diff[:, :m]))",
+           "norms = [(norm, _matrix_norm(diff[:, :m]))[1]",
+           ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
+    Mutant("leakage-high-side-keeps-every-column", "src/trotterlab/errors.py",
+           "[slice(m, None) for m in", "[slice(None) for m in",
+           ("tests/test_errors.py::test_leakage_identity_and_high_cutoff",)),
     Mutant("prefix-off-by-one", "src/trotterlab/errors.py",
            "_matrix_norm(diff[:, :m])", "_matrix_norm(diff[:, :m + 1])",
            ("tests/test_block_property.py::test_block_errors_match_dense_oracle",)),
