@@ -13,10 +13,11 @@ def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int) -> t
     """Fancy index and values that scatter ``block`` on the sites ``where`` into a matrix.
 
     ``block`` must act on ``local_dim ** len(where)`` dimensions, its tensor
-    factors ordered as listed in ``where`` (most significant first).  Row i
-    holds ``values[i]``, the block row of its support digits, in the columns
-    that swap those digits for each local state's.  The values are float64
-    when the block's imaginary part is exactly zero, complex128 otherwise.
+    factors ordered as listed in ``where`` (most significant first); a stack
+    of such blocks on a leading axis gives a stack of values.  Row i holds
+    ``values[..., i, :]``, the block row of its support digits, in the
+    columns that swap those digits for each local state's.  The values are
+    float64 when the imaginary part is exactly zero, complex128 otherwise.
     """
     d = int(local_dim)
     n = int(num_sites)
@@ -25,11 +26,12 @@ def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int) -> t
         raise ValueError(f"support sites must be distinct, got {where}")
     if any(i < 0 or i >= n for i in where):
         raise ValueError(f"support {where} outside chain of {n} sites")
-    block = np.asarray(block, dtype=complex)
-    if not block.imag.any():
+    block = np.asarray(block)
+    if np.iscomplexobj(block) and not block.imag.any():
         block = block.real
+    block = block.astype(complex if np.iscomplexobj(block) else float, copy=False)
     s = len(where)
-    if block.shape != (d ** s, d ** s):
+    if block.ndim not in (2, 3) or block.shape[-2:] != (d ** s, d ** s):
         raise ValueError(
             f"block of shape {block.shape} does not act on {s} sites of dimension {d}")
     weights = d ** (n - 1 - np.array(where, dtype=int))   # place value of each support site
@@ -37,13 +39,23 @@ def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int) -> t
     rows = np.arange(d ** n)[:, None]
     digits = rows // weights % d
     offsets = (np.arange(d ** s)[:, None] // local % d) @ weights
-    return (rows, rows - digits @ weights[:, None] + offsets), block[digits @ local]
+    return (rows, rows - digits @ weights[:, None] + offsets), block[..., digits @ local, :]
 
 
 def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],
                 num_sites: int, local_dim: int) -> np.ndarray:
-    """Embed ``block`` on the sites in ``where``, identity elsewhere; see ``block_entries``."""
+    """Embed ``block`` (or each of a stack) on the sites in ``where``, identity
+    elsewhere; see ``block_entries``."""
     index, values = block_entries(block, where, num_sites, local_dim)
-    out = np.zeros((values.shape[0],) * 2, dtype=values.dtype)
-    out[index] = values
+    out = np.zeros(values.shape[:-1] + (values.shape[-2],), dtype=values.dtype)
+    out[(...,) + index] = values
     return out
+
+
+def lift_block(block: np.ndarray, where, union: tuple[int, ...], local_dim: int) -> np.ndarray:
+    """``block`` (or a stack) on the sites ``where``, embedded on the sorted sites ``union``.
+
+    The result acts on ``local_dim ** len(union)`` dimensions, its tensor
+    factors ordered as ``union``: the chain restricted to those sites.
+    """
+    return embed_block(block, [union.index(site) for site in where], len(union), local_dim)

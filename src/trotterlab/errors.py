@@ -9,6 +9,14 @@ norm, as V is then unitary.  Every term conserves the charge of
 are block diagonal on its sectors, and the norm of a block-diagonal matrix
 is the largest norm of its blocks.  ``ErrorLab`` works sector by sector:
 no dim x dim matrix outlives its constructor.
+
+The nested-commutator sums walk term tuples whose supports chain-overlap.
+A commutator lives on the union U of its supports, so the walk keeps it as
+a d^|U| x d^|U| block, stacks the blocks that share a union and reduces
+each batch of leaves as it is made: an unprojected leaf's norm is its
+block's, and a projected one contracts the block with the tensor axes U
+of the low-energy columns.  An expectation in a state psi is the 1 x 1
+block of the columns psi, so both sums are one walk.
 """
 from __future__ import annotations
 
@@ -18,9 +26,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigh
 
+from .embedding import lift_block
 from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
-from .operators import _matrix_norm, assemble, conserved_charge, embed, low_energy_mask
+from .operators import _matrix_norm, apply_matrix, assemble, conserved_charge, low_energy_mask
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -171,33 +180,86 @@ def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
     return op_norm * math.exp(-gap / (4.0 * locality * extensiveness_g))
 
 
-def _tuple_walk(spec: HamiltonianSpec, depth: int, leaf) -> None:
-    """Depth-first walk over tuples of embedded terms whose supports chain-overlap.
+def _lift_group(group: list, sites: tuple[int, ...], local_dim: int) -> np.ndarray:
+    """Stack of the terms of ``group``, each lifted to the sorted ``sites``."""
+    return np.stack([lift_block(term.block, term.support, sites, local_dim) for term in group])
 
-    A nested commutator [h_q, ..., [h_1, h_0]] vanishes identically unless
-    each new support intersects the union of the previous ones, so disjoint
-    branches are pruned exactly.
+
+def _commutators(groups: dict, local_dim: int, union: tuple[int, ...], stack: np.ndarray,
+                 lifts: dict):
+    """Yield (sites, [h, C] for each h of a group and C of ``stack``) per group meeting ``union``.
+
+    ``stack`` holds commutators on the sorted sites ``union``; ``groups``
+    maps each sorted support to its terms.  A nested commutator vanishes
+    identically unless each new support meets the union of the previous
+    ones, so disjoint groups are pruned exactly.  Both sides are lifted to
+    the sorted union ``sites`` of the two supports, never to the whole
+    chain: the stack once per ``sites``, a group once per ``lifts`` cache.
     """
-    embedded = [embed(term, spec.lattice) for term in spec.terms]
-    supports = [set(term.support) for term in spec.terms]
-    for matrix, support in zip(embedded, supports):
-        _descend(embedded, supports, depth, leaf, matrix, support)
+    lifted = {}
+    for support, group in groups.items():
+        if set(support).isdisjoint(union):
+            continue
+        sites = tuple(sorted(set(union).union(support)))
+        if sites not in lifted:
+            lifted[sites] = stack if sites == union else lift_block(stack, union, sites, local_dim)
+        current = lifted[sites]
+        if (support, sites) not in lifts:   # T x 1 x D x D, broadcast over the stack
+            lifts[support, sites] = _lift_group(group, sites, local_dim)[:, None]
+        h = lifts[support, sites]
+        yield sites, (h @ current - current @ h).reshape(-1, *current.shape[1:])
 
 
-def _descend(embedded, supports, levels: int, leaf, current: np.ndarray, union: set) -> None:
-    """Hand ``leaf`` every commutator of ``levels`` more overlapping terms with ``current``.
+def _leaf_norms(leaves: np.ndarray, sites: tuple[int, ...], tensor: np.ndarray | None,
+                views: dict) -> np.ndarray:
+    """Norm of each leaf of the stack on ``sites``, or of V^dag (leaf (x) 1) V.
 
-    Not a closure: a nested function that calls itself forms a reference
-    cycle, which would keep every embedded term alive until the cyclic
-    garbage collector runs.
+    ``tensor`` is V with one axis per site and the column axis last;
+    ``views`` caches it per site tuple with those axes first, as a
+    d^|U| x (rest, m) matrix, whose rows then regroup to (U, rest) x m.
     """
-    if levels == 0:
-        leaf(current)
-        return
-    for matrix, support in zip(embedded, supports):
-        if support & union:
-            _descend(embedded, supports, levels - 1, leaf,
-                     matrix @ current - current @ matrix, union | support)
+    if tensor is None:
+        return _matrix_norm(leaves)
+    if sites not in views:
+        views[sites] = np.moveaxis(tensor, sites, range(len(sites))).reshape(leaves.shape[-1], -1)
+    view = views[sites]
+    flat = view.reshape(-1, tensor.shape[-1])
+    blocks = apply_matrix(leaves, view).reshape(len(leaves), *flat.shape)
+    return _matrix_norm(flat.conj().T @ blocks)
+
+
+def _walk_sum(spec: HamiltonianSpec, depth: int, basis: np.ndarray | None) -> float:
+    """Sum of ||V^dag C V|| (of ||C|| without a basis) over the nested commutators
+    C = [h_q, ..., [h_1, h_0]] of depth q with chain-overlapping supports.
+
+    Terms are grouped by sorted support.  One root group at a time; below it
+    the walk goes level by level and stacks the commutators that share a
+    union of supports, so each (union, group) pair is one batched product.
+    The last level's batches are reduced as they are made, never stored.
+    C on the sites U acts on the chain as C (x) 1, so its norm is that of
+    the U block, and V^dag (C (x) 1) V contracts the block with V's axes U.
+    """
+    d = spec.lattice.local_dim
+    groups: dict[tuple[int, ...], list] = {}
+    for term in spec.terms:
+        groups.setdefault(tuple(sorted(term.support)), []).append(term)
+    tensor = None if basis is None else basis.reshape((d,) * spec.lattice.num_sites + (-1,))
+    views: dict[tuple[int, ...], np.ndarray] = {}
+    total = 0.0
+    for root, group in groups.items():
+        lifts: dict = {}
+        level = {root: _lift_group(group, root, d)}
+        for _ in range(depth - 1):
+            below: dict[tuple[int, ...], list] = {}
+            for union, stack in level.items():
+                for sites, batch in _commutators(groups, d, union, stack, lifts):
+                    below.setdefault(sites, []).append(batch)
+            level = {sites: np.concatenate(parts) for sites, parts in below.items()}
+        for union, stack in level.items():
+            batches = _commutators(groups, d, union, stack, lifts) if depth else [(union, stack)]
+            for sites, leaves in batches:
+                total += float(_leaf_norms(leaves, sites, tensor, views).sum())
+    return total
 
 
 def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
@@ -211,20 +273,11 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
     if not 1 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_COMMUTATOR_DEPTH}, got {depth}")
     dim = spec.lattice.hilbert_dim
-    if basis is not None and basis.shape[0] != dim:
-        raise ValueError("basis dimension does not match the spec")
+    if basis is not None and (basis.ndim != 2 or basis.shape[0] != dim):
+        raise ValueError(f"basis must be a {dim} x m block, got shape {basis.shape}")
     if basis is not None and basis.shape[1] == 0:
         return 0.0  # every projected leaf is a 0 x 0 block
-    total = 0.0
-
-    def leaf(matrix: np.ndarray) -> None:
-        nonlocal total
-        if basis is not None:
-            matrix = basis.conj().T @ matrix @ basis
-        total += _matrix_norm(matrix)
-
-    _tuple_walk(spec, depth, leaf)
-    return total
+    return _walk_sum(spec, depth, basis)
 
 
 def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
@@ -247,13 +300,8 @@ def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
     residual = psi - low @ (low.conj().T @ psi)
     if np.linalg.norm(residual) > SUBSPACE_TOL:
         raise ValueError(f"state leaks out of the energy-{delta} subspace")
-    total = 0.0
-
-    def leaf(matrix: np.ndarray) -> None:
-        nonlocal total
-        total += abs(complex(psi.conj() @ (matrix @ psi)))
-
-    _tuple_walk(spec, depth, leaf)
+    # |psi^dag C psi| is the norm of the 1 x 1 block of V = psi
+    total = _walk_sum(spec, depth, psi[:, None])
     g = extensiveness(spec)
     bound = math.factorial(depth) * (2.0 * spec.locality_k * g) ** depth * delta
     return total, bound

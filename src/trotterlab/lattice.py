@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .embedding import embed_block
+from .embedding import embed_block, lift_block
 
 COMPLEX_BYTES = np.dtype(complex).itemsize
 
@@ -301,22 +301,22 @@ def long_range_extensiveness(num_sites: int, decay_exponent: float,
     """Extensiveness of the long-range Heisenberg model from coupling sums only.
 
     Avoids any Hilbert-space assembly, so it is usable at chain lengths whose
-    lattice would not fit in memory.
+    lattice would not fit in memory.  Site i sums the distances 1..i and
+    1..N-1-i; the terms decrease, so moving one distance from the longer run
+    to the shorter never lowers the sum, and a middle site is largest.
     """
-    best = 0.0
-    for i in range(num_sites):
-        total = sum(3 * base_coupling * float(abs(i - j)) ** (-decay_exponent)
-                    for j in range(num_sites) if j != i)
-        best = max(best, total)
-    return best
+    if not (np.isfinite(decay_exponent) and decay_exponent >= 0):
+        raise ValueError("decay exponent must be finite and nonnegative")
+    return max(sum((3 * base_coupling * float(abs(i - j)) ** (-decay_exponent)
+                    for j in range(num_sites) if j != i), 0.0)
+               for i in {(num_sites - 1) // 2, num_sites // 2})
 
 
 def _pair_commutator_norm(a: LocalTerm, b: LocalTerm, local_dim: int) -> float:
     """Spectral norm of [A, B] embedded on the union of the two supports."""
-    union = sorted(set(a.support) | set(b.support))
-    pos = {site: idx for idx, site in enumerate(union)}
-    a_emb = embed_block(a.block, [pos[s] for s in a.support], len(union), local_dim)
-    b_emb = embed_block(b.block, [pos[s] for s in b.support], len(union), local_dim)
+    union = tuple(sorted(set(a.support) | set(b.support)))
+    a_emb = lift_block(a.block, a.support, union, local_dim)
+    b_emb = lift_block(b.block, b.support, union, local_dim)
     comm = a_emb @ b_emb - b_emb @ a_emb
     # i[A, B] is Hermitian for Hermitian A, B
     return float(np.abs(np.linalg.eigvalsh(1j * comm)).max())

@@ -80,12 +80,13 @@ def apply_matrix(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def _matrix_norm(a: np.ndarray) -> float:
+def _matrix_norm(a: np.ndarray):
+    """Spectral norm of a matrix, or the array of norms of a stack on leading axes."""
     if a.size == 0:
-        return 0.0
-    gram = a.conj().T @ a
-    w = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+        norms = np.zeros(a.shape[:-2])
+    else:
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(a.conj().mT @ a)[..., -1], 0.0))
+    return float(norms) if a.ndim == 2 else norms
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -1,13 +1,14 @@
-"""Dense reference route for Trotter errors and projected commutator sums.
+"""Dense reference route for Trotter errors and nested-commutator sums.
 
 Every quantity here lives on the full dim x dim space: the exact and the
 Trotter propagators are matrices, steps are a matrix power, the low-energy
-subspace is a projector and a projected commutator leaf is the sandwich
-P C P.  ``ErrorLab`` computes the same numbers on the eigenvector block;
-the tests compare the two routes.  Terms are embedded here by Kronecker
-products and an axis permutation, not by the package's digit scatter, and
-every spectrum is one dense ``np.linalg.eigh`` of the whole matrix: a lab
-is read only for its spec, never for its sector spectra.
+subspace is a projector, a projected commutator leaf is the sandwich P C P
+and an expectation leaf is <psi|C|psi>.  The package computes the same
+numbers on eigenvector blocks and support-local stacks; the tests compare
+the two routes.  Terms are embedded here by Kronecker products and an axis
+permutation, not by the package's digit scatter, and every spectrum is one
+dense ``np.linalg.eigh`` of the whole matrix: a lab is read only for its
+spec, never for its sector spectra.
 """
 import functools
 import itertools
@@ -81,20 +82,27 @@ def full_error(lab, plan, t):
     return errors(lab, plan, t, (math.inf,))[0]
 
 
-def commutator_sum(spec, depth, proj=None):
-    """Sum of ||P [h_q, ..., [h_1, h_0]] P|| over every term tuple.
+def nested_commutators(spec, depth):
+    """Every [h_q, ..., [h_1, h_0]] over all term tuples of length depth + 1.
 
     No pruning: tuples with a disjoint support give commutators that vanish
-    exactly, so they add zero.
+    exactly, so they add zero to any sum of norms.
     """
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
     embedded = [kron_embed(term.block, term.support, n, d) for term in spec.terms]
-    total = 0.0
     for tup in itertools.product(range(len(embedded)), repeat=depth + 1):
         mat = embedded[tup[0]]
         for idx in tup[1:]:
             mat = embedded[idx] @ mat - mat @ embedded[idx]
-        if proj is not None:
-            mat = proj @ mat @ proj
-        total += np.linalg.norm(mat, 2)
-    return total
+        yield mat
+
+
+def commutator_sum(spec, depth, proj=None):
+    """Sum of ||P [h_q, ..., [h_1, h_0]] P|| over every term tuple."""
+    return sum(np.linalg.norm(mat if proj is None else proj @ mat @ proj, 2)
+               for mat in nested_commutators(spec, depth))
+
+
+def expectation_sum(spec, depth, psi):
+    """Sum of |<psi| [h_q, ..., [h_1, h_0]] |psi>| over every term tuple."""
+    return sum(abs(np.vdot(psi, mat @ psi)) for mat in nested_commutators(spec, depth))

@@ -49,12 +49,12 @@ def digit_sums(num_sites, local_dim):
 
 
 @st.composite
-def charged_specs(draw):
+def charged_specs(draw, local_dims=(2, 3)):
     """PSD terms that are exactly 0 between unequal charges, with the modulus used.
 
     The charge is the digit sum (modulus None) or its parity (modulus 2).
     """
-    local_dim = draw(st.sampled_from((2, 3)))
+    local_dim = draw(st.sampled_from(local_dims))
     modulus = draw(st.sampled_from((None, 2)))
     real = draw(st.booleans())
     num_sites = draw(st.integers(2, 5 if local_dim == 2 else 4))
@@ -101,6 +101,13 @@ def check_commutator_sum(spec, depth, fraction):
     # sums that vanish exactly (one low eigenvector, depth 1) leave round-off
     # on both sides, hence the small absolute floor
     assert block == pytest.approx(dense, rel=1e-12, abs=1e-13)
+    check_unprojected_sum(spec, depth)
+
+
+def check_unprojected_sum(spec, depth):
+    walked = tl.nested_commutator_sum(spec, depth)
+    dense = oracle_dense.commutator_sum(spec, depth)
+    assert walked == pytest.approx(dense, rel=1e-12, abs=1e-13)
 
 
 @PROPERTY_SETTINGS
@@ -125,6 +132,25 @@ def test_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
 @given(spec=random_specs(real=True), **COMMUTATOR_DRAWS)
 def test_real_block_commutator_sum_matches_projector_sandwich(spec, depth, fraction):
     check_commutator_sum(spec, depth, fraction)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=charged_specs(local_dims=(3,)), depth=st.integers(1, 3))
+def test_qutrit_commutator_sum_matches_dense_oracle(drawn, depth):
+    check_unprojected_sum(drawn[0], depth)
+
+
+@PROPERTY_SETTINGS
+@given(spec=random_specs(), depth=st.integers(0, 3), fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_expectation_sum_matches_dense_oracle(spec, depth, fraction, seed):
+    lab = tl.ErrorLab(spec)
+    ground = min(float(sector.spectrum.eigenvalues[0]) for sector in lab.sectors)
+    delta = max(fraction * lab.max_energy, ground)
+    psi = lab.random_subspace_state(delta, np.random.default_rng(seed))
+    value, _ = tl.low_energy_expectation_sum(lab, depth, psi, delta)
+    dense = oracle_dense.expectation_sum(spec, depth, psi)
+    assert value == pytest.approx(dense, rel=1e-12, abs=1e-13)
 
 
 @PROPERTY_SETTINGS

@@ -3,8 +3,8 @@
 Random Hermitian blocks, real or complex, on supports of one to three
 distinct sites in any order (gapped and unsorted included), on chains of up
 to five qubits or four qutrits.  ``embed_block`` must equal
-``oracle_dense.kron_embed`` exactly and with the same dtype, and
-``assemble`` of a random spec must equal the term-order sum of Kronecker
+``oracle_dense.kron_embed`` exactly and with the same dtype, slice by slice
+for a stack of blocks, and ``assemble`` of a random spec must equal the term-order sum of Kronecker
 embeddings exactly.  Examples are derandomized so the suite stays
 deterministic.
 """
@@ -42,6 +42,20 @@ def test_embed_block_matches_kron_embed(chain, width, real):
     reference = oracle_dense.kron_embed(block, where, num_sites, local_dim)
     assert out.dtype == reference.dtype == (np.float64 if real else np.complex128)
     np.testing.assert_array_equal(out, reference)
+
+
+@PROPERTY_SETTINGS
+@given(chain=chains(), width=st.integers(1, 3), count=st.integers(1, 4), real=st.booleans())
+def test_embed_block_on_a_stack_matches_kron_embed(chain, width, count, real):
+    local_dim, num_sites, rng = chain
+    where = rng.permutation(num_sites)[:min(width, num_sites)].tolist()
+    stack = np.stack([random_block(rng, local_dim ** len(where), real) for _ in range(count)])
+    out = tl.embed_block(stack, where, num_sites, local_dim)
+    assert out.shape == (count,) + (local_dim ** num_sites,) * 2
+    assert out.dtype == (np.float64 if real else np.complex128)
+    for block, embedded in zip(stack, out):
+        np.testing.assert_array_equal(
+            embedded, oracle_dense.kron_embed(block, where, num_sites, local_dim))
 
 
 @PROPERTY_SETTINGS

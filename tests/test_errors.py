@@ -229,8 +229,14 @@ def test_nested_commutator_sum_skips_empty_block(aklt4, monkeypatch):
     def no_embedding(*args, **kwargs):
         raise AssertionError("a term was embedded for an empty block")
 
-    monkeypatch.setattr(errors, "embed", no_embedding)
+    monkeypatch.setattr(errors, "lift_block", no_embedding)
     assert tl.nested_commutator_sum(aklt4.spec, 2, aklt4.low_column_basis(-1.0)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(81,), (81, 1, 1), (80, 2), ()])
+def test_nested_commutator_sum_refuses_a_basis_that_is_not_a_column_block(aklt4, shape):
+    with pytest.raises(ValueError, match="basis must be a 81 x m block"):
+        tl.nested_commutator_sum(aklt4.spec, 1, np.zeros(shape))
 
 
 def test_nested_commutator_depth_limits(aklt4):

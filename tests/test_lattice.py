@@ -192,6 +192,33 @@ def test_long_range_extensiveness_closed_form():
         tl.long_range_extensiveness(5, 2.0), rel=1e-12)
 
 
+def all_sites_scan(num_sites, decay_exponent, base_coupling):
+    """Largest coupling sum over every site, each summed in site order.
+
+    Site i meets the distances i, ..., 1, then 1, ..., N-1-i: the window at
+    N-1-i of the couplings at distances N-1, ..., 1, 1, ..., N-1.
+    """
+    if num_sites < 2:
+        return 0.0
+    per_distance = 3 * base_coupling * np.arange(1.0, num_sites) ** (-decay_exponent)
+    mirrored = np.concatenate([per_distance[::-1], per_distance])
+    rows = np.lib.stride_tricks.sliding_window_view(mirrored, num_sites - 1)
+    return float(np.cumsum(rows, axis=1)[:, -1].max())
+
+
+def test_long_range_extensiveness_matches_all_sites_scan():
+    # the two middle sites carry the largest coupling sum; summation order
+    # can leave one ulp between sites of equal exact sums, hence rel 1e-15
+    for num_sites in range(1, 301):
+        for decay_exponent in (0.5, 1.0, 2.0, 3.0, 6.0, 10.0):
+            for base_coupling in (0.3, 1.0):
+                scan = all_sites_scan(num_sites, decay_exponent, base_coupling)
+                middle = tl.long_range_extensiveness(num_sites, decay_exponent, base_coupling)
+                assert middle == pytest.approx(scan, rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError, match="decay exponent"):
+        tl.long_range_extensiveness(8, -1.0)
+
+
 def test_shift_psd():
     term = LocalTerm((0,), PAULI_Z)
     shifted = tl.shift_psd(term)

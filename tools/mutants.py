@@ -98,6 +98,20 @@ MUTANTS = (
     Mutant("reversed-local-factor-order", "src/trotterlab/embedding.py",
            "local = d ** np.arange(s - 1, -1, -1)", "local = d ** np.arange(s)",
            ("tests/test_embedding_property.py",)),
+    Mutant("union-lift-reversed", "src/trotterlab/embedding.py",
+           "[union.index(site) for site in where]",
+           "[len(union) - 1 - union.index(site) for site in where]",
+           ("tests/test_block_property.py::test_block_commutator_sum_matches_projector_sandwich",)),
+    Mutant("pruning-needs-two-shared-sites", "src/trotterlab/errors.py",
+           "if set(support).isdisjoint(union):",
+           "if len(set(support) & set(union)) < 2:",
+           ("tests/test_block_property.py::test_qutrit_commutator_sum_matches_dense_oracle",)),
+    Mutant("projected-contraction-drops-conj", "src/trotterlab/errors.py",
+           "_matrix_norm(flat.conj().T @", "_matrix_norm(flat.T @",
+           ("tests/test_block_property.py::test_block_commutator_sum_matches_projector_sandwich",)),
+    Mutant("expectation-walk-one-level-short", "src/trotterlab/errors.py",
+           "_walk_sum(spec, depth, psi[:, None])", "_walk_sum(spec, depth - 1, psi[:, None])",
+           ("tests/test_block_property.py::test_expectation_sum_matches_dense_oracle",)),
 )
 
 
