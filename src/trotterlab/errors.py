@@ -8,7 +8,14 @@ norm, as V is then unitary.  Every term conserves the charge of
 ``conserved_charge``, so H, each group Hamiltonian, both propagators and P
 are block diagonal on its sectors, and the norm of a block-diagonal matrix
 is the largest norm of its blocks.  ``ErrorLab`` works sector by sector:
-no dim x dim matrix outlives its constructor.
+a sector assembles H and the groups on its own basis states and takes
+their spectra when first used, so the lab holds only sector-sized matrices.
+
+When every term is exactly a total-spin projector of its support (AKLT,
+MG), all of these also commute with the total spin, so the difference
+acts as D_S (x) 1 on the spin-S multiplets.  The sector of smallest |S^z|
+holds one copy of every multiplet, and its norm alone is each error,
+projected or full; ``errors`` then skips the other sectors.
 
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
@@ -21,7 +28,7 @@ block of the columns psi, so both sums are one walk.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import eigh
@@ -29,7 +36,8 @@ from numpy.linalg import eigh
 from .embedding import lift_block
 from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
-from .operators import _matrix_norm, apply_matrix, assemble, conserved_charge, low_energy_mask
+from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, low_energy_mask,
+                        spin_projector_terms)
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -55,51 +63,81 @@ def lab_bytes(spec: HamiltonianSpec) -> int:
     return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
 
 
-class Sector(NamedTuple):
-    """A charge sector's basis states, the ``eigh`` of H (eigenvalues ascending) and of
-    each group on them, and the transitions that ``apply_plan`` caches for it."""
+class Sector:
+    """A charge sector: its sorted basis states ``rows``, and on first use the
+    ``eigh`` of H (eigenvalues ascending) and of each group on them.
 
-    rows: np.ndarray
-    spectrum: tuple
-    part_spectra: tuple
-    transitions: dict
+    ``transitions`` is the cache that ``apply_plan`` fills for the sector.
+    The blocks come from one ``assemble(spec, rows)`` and each is freed once
+    its ``eigh`` is taken.
+    """
+
+    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray):
+        self.spec = spec
+        self.rows = rows
+        self.transitions: dict = {}
+        self._blocks: dict | None = None
+
+    def _take(self, name: str):
+        if self._blocks is None:
+            hamiltonian, parts = assemble(self.spec, self.rows)
+            self._blocks = {"spectrum": hamiltonian, "part_spectra": parts}
+        return self._blocks.pop(name)
+
+    @cached_property
+    def spectrum(self):
+        return eigh(self._take("spectrum"))
+
+    @cached_property
+    def part_spectra(self) -> tuple:
+        return tuple(eigh(part) for part in self._take("part_spectra"))
+
+
+def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:
+    """Per sector, the number of eigenvalues <= delta (ties included); None means all.
+
+    One mask over the given sectors keeps the tie slack at their joint
+    spectrum's scale; a sector's eigenvalues ascend, so its count is a
+    column prefix.
+    """
+    sizes = [sector.rows.size for sector in sectors]
+    if delta is None:
+        return sizes
+    mask = low_energy_mask(np.concatenate([s.spectrum.eigenvalues for s in sectors]), delta)
+    return [int(np.count_nonzero(part)) for part in np.split(mask, np.cumsum(sizes)[:-1])]
 
 
 class ErrorLab:
     """Per-sector spectra plus error evaluators for one Hamiltonian spec.
 
     ``sectors`` holds one ``Sector`` per label of ``conserved_charge`` (one
-    when nothing is conserved); the dense H and groups are dropped once cut.
-    Everything is float64 when every term block is real, complex128 otherwise.
+    when nothing is conserved); each builds its spectra on first use, so the
+    lab holds only sector-sized matrices.  Everything is float64 when every
+    term block is real, complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
         require_memory(lab_bytes(spec),
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
-        hamiltonian, parts = assemble(spec)
         charge = conserved_charge(spec)
-        self.sectors: list[Sector] = []
         # every label from 0 to the largest occurs; np.unique would import numpy.ma
-        for label in range(charge.max() + 1):
-            rows = np.flatnonzero(charge == label)
-            index = np.ix_(rows, rows)
-            self.sectors.append(Sector(rows, eigh(hamiltonian[index]),
-                                       tuple(eigh(part[index]) for part in parts), {}))
-        self.max_energy = max(float(s.spectrum.eigenvalues[-1]) for s in self.sectors)
+        self.sectors = [Sector(spec, np.flatnonzero(charge == label))
+                        for label in range(charge.max() + 1)]
+        self.spin_invariant = spin_projector_terms(spec)
 
-    def _column_counts(self, delta: float | None) -> list[int]:
-        """Per sector, the number of eigenvalues <= delta (ties included); None means all.
+    @property
+    def max_energy(self) -> float:
+        return max(float(s.spectrum.eigenvalues[-1]) for s in self.sectors)
 
-        One mask over all sectors keeps the tie slack at the whole spectrum's
-        scale; a sector's eigenvalues ascend, so its count is a column prefix.
-        """
-        sizes = [sector.rows.size for sector in self.sectors]
-        if delta is None:
-            return sizes
-        mask = low_energy_mask(np.concatenate([s.spectrum.eigenvalues for s in self.sectors]),
-                               delta)
-        return [int(np.count_nonzero(part)) for part in np.split(mask, np.cumsum(sizes)[:-1])]
+    def _error_sectors(self) -> list[Sector]:
+        """The sectors whose largest norm is each error: all, or for a spin-invariant
+        spec the one of smallest |S^z|, which holds a copy of every multiplet."""
+        if not self.spin_invariant:
+            return self.sectors
+        n, d = self.spec.lattice.num_sites, self.spec.lattice.local_dim
+        assert len(self.sectors) == n * (d - 1) + 1, "the charge must be the digit sum"
+        return [self.sectors[n * (d - 1) // 2]]
 
     def _scatter(self, columns: list[slice]) -> np.ndarray:
         """dim x m block of each sector's eigenvector ``columns``, zero off its rows."""
@@ -114,22 +152,24 @@ class ErrorLab:
 
     def low_column_basis(self, delta: float | None) -> np.ndarray:
         """Orthonormal eigenvector columns with eigenvalue <= delta, in sector order."""
-        return self._scatter([slice(m) for m in self._column_counts(delta)])
+        return self._scatter([slice(m) for m in _column_counts(self.sectors, delta)])
 
     def errors(self, plan: FormulaPlan, t: float,
                deltas: list[float] | tuple[float, ...], steps: int = 1) -> list[float]:
         """Norms of (exp(-iHt) - T_p(t/steps)**steps) P_delta, one per cutoff.
 
         Each sector takes one difference on its widest cutoff's column prefix,
-        and a cutoff's norm is the largest of its prefixes'; None or inf means all.
+        and a cutoff's norm is the largest of its prefixes'; None or inf means
+        all.  A spin-invariant spec visits only its smallest-|S^z| sector.
         """
         if steps < 1:
             raise ValueError("need at least one step")
-        counts = [self._column_counts(delta) for delta in deltas]
+        sectors = self._error_sectors()
+        counts = [_column_counts(sectors, delta) for delta in deltas]
         norms = [0.0] * len(deltas)
         # the plan repeated steps times at t/steps
         stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps)
-        for s, sector in enumerate(self.sectors):
+        for s, sector in enumerate(sectors):
             widths = [count[s] for count in counts]
             width = max(widths, default=0)
             block = sector.spectrum.eigenvectors[:, :width]
@@ -156,7 +196,8 @@ class ErrorLab:
             raise ValueError("delta_prime must exceed delta")
         if op.shape != (self.spec.lattice.hilbert_dim,) * 2:
             raise ValueError("operator dimension does not match the lab")
-        high = self._scatter([slice(m, None) for m in self._column_counts(delta_prime)])
+        counts = _column_counts(self.sectors, delta_prime)
+        high = self._scatter([slice(m, None) for m in counts])
         return _matrix_norm(high.conj().T @ op @ self.low_column_basis(delta))
 
     def random_subspace_state(self, delta: float, rng: np.random.Generator) -> np.ndarray:

@@ -211,6 +211,12 @@ def _total_spin_squared(n_sites: int, local_dim: int) -> np.ndarray:
     return raise_total.T @ raise_total + sz_total @ (sz_total + np.eye(sz_total.shape[0]))
 
 
+def spin_casimirs(n_sites: int, local_dim: int) -> list[float]:
+    """S(S+1) for every total spin S of ``n_sites`` sites: n s, n s - 1, ... to 0 or 1/2."""
+    top = n_sites * (local_dim - 1) / 2
+    return [(top - j) * (top - j + 1) for j in range(int(top) + 1)]
+
+
 def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.ndarray:
     """Projector onto the total-spin sector with (S_tot)^2 eigenvalue ``casimir``.
 
@@ -219,8 +225,7 @@ def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.nd
     prod_{S' != S} (C - S'(S'+1)) / (S(S+1) - S'(S'+1)) of C = (S_tot)^2, so
     like C it is exactly 0 between different total S^z.
     """
-    top = n_sites * (local_dim - 1) / 2
-    allowed = [(top - j) * (top - j + 1) for j in range(int(top) + 1)]
+    allowed = spin_casimirs(n_sites, local_dim)
     if casimir not in allowed:
         raise ValueError(f"{casimir} is not S(S+1) for a total spin S of {n_sites} "
                          f"sites of dimension {local_dim}; allowed: {allowed}")

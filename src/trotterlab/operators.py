@@ -4,7 +4,8 @@ Every operator is a dense ndarray: float64 when every term block of its
 spec is real (all built-in models), complex128 otherwise.  A spectrum is an
 ``np.linalg.eigh`` result, a pair of ``eigenvalues`` and orthonormal
 ``eigenvectors`` columns; ``ErrorLab`` keeps one per sector of
-``conserved_charge``, and a real Hamiltonian gets real eigenvectors.
+``conserved_charge``, each from ``assemble`` on that sector's basis states,
+and a real Hamiltonian gets real eigenvectors.
 Spectral norms come from the Hermitian eigendecomposition of A^dag A;
 propagators from the eigendecomposition of the (Hermitian) generator,
 reused across times.
@@ -14,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding import block_entries, embed_block
-from .lattice import HamiltonianSpec, LatticeSpec, LocalTerm
+from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm, spin_casimirs,
+                      spin_sector_projector)
 
 SPECTRAL_TIE_TOL = 1e-12
 
@@ -24,14 +26,21 @@ def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
     return embed_block(term.block, term.support, lattice.num_sites, lattice.local_dim)
 
 
-def assemble(spec: HamiltonianSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum of all embedded terms plus the per-group partial Hamiltonians, of ``spec.dtype``."""
-    dim, dtype = spec.lattice.hilbert_dim, spec.dtype
+def assemble(spec: HamiltonianSpec,
+             rows: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sum of all embedded terms plus the per-group partial Hamiltonians, of ``spec.dtype``.
+
+    On every basis state, or on the sorted basis states ``rows`` only: then
+    each term must be exactly 0 between them and the rest (see
+    ``block_entries``), as it is on a sector of ``conserved_charge``.
+    """
+    size = spec.lattice.hilbert_dim if rows is None else len(rows)
+    dtype = spec.dtype
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
-    total = np.zeros((dim, dim), dtype=dtype)
-    partials = [np.zeros((dim, dim), dtype=dtype) for _ in range(spec.gamma_count)]
+    total = np.zeros((size, size), dtype=dtype)
+    partials = [np.zeros((size, size), dtype=dtype) for _ in range(spec.gamma_count)]
     for term, gamma in zip(spec.terms, spec.partition):
-        index, values = block_entries(term.block, term.support, n, d)
+        index, values = block_entries(term.block, term.support, n, d, rows)
         total[index] += values
         partials[gamma - 1][index] += values
     return total, partials
@@ -63,6 +72,25 @@ def conserved_charge(spec: HamiltonianSpec) -> np.ndarray:
                for term in spec.terms):
             return _digit_sums(n, d) % modulus
     return np.zeros(d ** n, dtype=int)
+
+
+def spin_projector_terms(spec: HamiltonianSpec) -> bool:
+    """True when every term block equals a ``spin_sector_projector`` of its support exactly.
+
+    Such a term commutes with the total spin of the chain, and so do H,
+    every group, both propagators and every P_delta.  Bit equality
+    (``np.array_equal``) decides it, no tolerance; twice a projector, or one
+    off by an ulp, does not qualify.
+    """
+    d = spec.lattice.local_dim
+    projectors: dict[int, list[np.ndarray]] = {}
+    for term in spec.terms:
+        k = len(term.support)
+        if k not in projectors:
+            projectors[k] = [spin_sector_projector(k, d, c) for c in spin_casimirs(k, d)]
+        if not any(np.array_equal(term.block, proj) for proj in projectors[k]):
+            return False
+    return True
 
 
 def evolve(spectrum, t: float) -> np.ndarray:

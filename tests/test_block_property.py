@@ -7,7 +7,9 @@ Random PSD local terms on up to five qubits are grouped by
 the projector sandwich.  Complex Hermitian terms run in complex128 and
 real-symmetric ones in float64; both are drawn.  A third family masks the
 terms to a conserved charge (digit sum or its parity, d = 2 or 3), so the
-lab's sector spectra are checked against one dense ``eigh``.  Examples are
+lab's sector spectra are checked against one dense ``eigh``.  A fourth
+family is built of exact total-spin projectors, for which the lab takes
+every error from the smallest-|S^z| sector alone.  Examples are
 derandomized so the suite stays deterministic.
 """
 import math
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_dense
 import trotterlab as tl
+from trotterlab.lattice import spin_casimirs
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -75,6 +78,24 @@ def charged_specs(draw, local_dims=(2, 3)):
     partition = tl.greedy_partition(lattice, terms)
     locality = max(len(term.support) for term in terms)
     return tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality), modulus
+
+
+@st.composite
+def spin_projector_specs(draw):
+    """Exact ``spin_sector_projector`` terms of random total spin on 2-3 random sites."""
+    local_dim = draw(st.sampled_from((2, 3)))
+    num_sites = draw(st.integers(3, 6 if local_dim == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(2, 5))):
+        size = draw(st.integers(2, 3))
+        support = tuple(sorted(rng.choice(num_sites, size=size, replace=False).tolist()))
+        casimir = draw(st.sampled_from(spin_casimirs(size, local_dim)))
+        terms.append(tl.LocalTerm(support, tl.spin_sector_projector(size, local_dim, casimir)))
+    lattice = tl.LatticeSpec(num_sites, local_dim)
+    partition = tl.greedy_partition(lattice, terms)
+    locality = max(len(term.support) for term in terms)
+    return tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality)
 
 
 ERROR_DRAWS = dict(order_p=st.sampled_from((1, 2, 4, 6)), t=st.floats(0.0, 1.0),
@@ -168,4 +189,12 @@ def test_sector_spectra_and_errors_match_dense_oracle(drawn, order_p, t, fractio
     dense = np.linalg.eigvalsh(oracle_dense.kron_assemble(spec)[0])
     sectors = np.sort(np.concatenate([sector.spectrum.eigenvalues for sector in lab.sectors]))
     assert np.abs(sectors - dense).max() <= 1e-12
+    check_errors(spec, order_p, t, fractions, inf_at, steps)
+
+
+@PROPERTY_SETTINGS
+@given(spec=spin_projector_specs(), **{**ERROR_DRAWS, "t": st.floats(0.05, 1.0)})
+def test_spin_invariant_errors_from_one_sector_match_dense_oracle(spec, order_p, t, fractions,
+                                                                  inf_at, steps):
+    assert tl.ErrorLab(spec).spin_invariant
     check_errors(spec, order_p, t, fractions, inf_at, steps)

@@ -30,8 +30,15 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
 
     monkeypatch.setattr(errors, "eigh", counting_eigh)
     lab = tl.ErrorLab(tl.build_aklt(4))
+    assert sizes == []   # a sector builds its spectra on first use
+    for sector in lab.sectors:
+        sector.spectrum, sector.part_spectra
     # the 9 total-S^z sectors of four spin-1 sites, each for H and then each group
     assert sizes == [size for size in (1, 4, 10, 16, 19, 16, 10, 4, 1) for _ in range(3)]
+    for sector in lab.sectors:   # cached, and the assembled blocks are freed
+        sector.spectrum, sector.part_spectra
+        assert sector._blocks == {}
+    assert len(sizes) == 27
     assert sorted(np.concatenate([sector.rows for sector in lab.sectors])) == list(range(81))
     h, parts = oracle_dense.kron_assemble(lab.spec)
     for index, matrix in enumerate((h, *parts)):
@@ -106,11 +113,13 @@ def test_complex_block_assembles_complex_and_matches_oracle():
 
 def test_transitions_built_once_and_empty_block_is_zero():
     lab = tl.ErrorLab(tl.build_mg(5))
+    assert lab.spin_invariant
     plan = tl.suzuki_plan(6, lab.spec.gamma_count)
     lab.errors(plan, 0.2, (1.0, math.inf))
     built = [dict(sector.transitions) for sector in lab.sectors]
-    # palindromic plans only step between neighbouring groups; inf reaches every sector
-    assert all(set(cache) == {(1, 2), (2, 3)} for cache in built)
+    # a spin-invariant spec evaluates only the S^z = 1/2 sector (digit sum 2);
+    # palindromic plans only step between neighbouring groups
+    assert [set(cache) for cache in built] == [set()] * 2 + [{(1, 2), (2, 3)}] + [set()] * 3
     lab.errors(plan, 0.7, (0.5, math.inf), steps=2)
     for sector, cache in zip(lab.sectors, built):
         assert sector.transitions.keys() == cache.keys()
@@ -120,6 +129,15 @@ def test_transitions_built_once_and_empty_block_is_zero():
     empty = tl.apply_plan(plan, sector.part_spectra, 0.3, np.zeros((sector.rows.size, 0)),
                           sector.transitions)
     assert empty.shape == (sector.rows.size, 0)
+    # twice a projector is not spin-invariant by bit equality: every sector is visited
+    base = lab.spec
+    doubled = tl.HamiltonianSpec(base.lattice, tuple(tl.LocalTerm(term.support, 2 * term.block)
+                                                     for term in base.terms),
+                                 base.partition, locality_k=3)
+    other = tl.ErrorLab(doubled)
+    assert not other.spin_invariant
+    other.errors(plan, 0.2, (1.0, math.inf))
+    assert all(set(sector.transitions) == {(1, 2), (2, 3)} for sector in other.sectors)
 
 
 def test_projected_monotone_in_delta_and_below_full(aklt4):

@@ -15,7 +15,7 @@ import scipy.linalg
 import trotterlab as tl
 from trotterlab.embedding import embed_block
 from trotterlab.lattice import LatticeSpec, LocalTerm
-from trotterlab.operators import apply_matrix, low_energy_mask
+from trotterlab.operators import apply_matrix, low_energy_mask, spin_projector_terms
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -200,3 +200,81 @@ def test_charge_detection_falls_back_exactly():
     block = np.diag([1.0, 2.0, 3.0, 4.0])
     spec = tl.HamiltonianSpec(lattice, (LocalTerm((0, 1), block),), (1,), locality_k=2)
     assert np.unique(tl.conserved_charge(spec)).size == 4
+
+
+def charged_complex_spec() -> tl.HamiltonianSpec:
+    """AKLT N=4 plus a complex qutrit pair term masked to the digit sum."""
+    base = tl.build_aklt(4)
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    charge = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    raw[charge[:, None] != charge] = 0
+    extra = LocalTerm((0, 2), raw @ raw.conj().T / 9)
+    return tl.HamiltonianSpec(base.lattice, base.terms + (extra,),
+                              base.partition + (base.gamma_count + 1,), locality_k=2)
+
+
+@pytest.mark.parametrize("spec", [tl.build_aklt(5), tl.build_mg(7),
+                                  tl.build_long_range_heisenberg(6, 2.0),
+                                  charged_complex_spec()],
+                         ids=["aklt5", "mg7", "lr6", "complex"])
+def test_sector_assembly_is_the_cut_of_the_dense_one(spec):
+    hamiltonian, parts = tl.assemble(spec)
+    charge = tl.conserved_charge(spec)
+    assert charge.max() > 0
+    for label in range(charge.max() + 1):
+        rows = np.flatnonzero(charge == label)
+        index = np.ix_(rows, rows)
+        block, block_parts = tl.assemble(spec, rows)
+        assert block.dtype == spec.dtype
+        assert np.array_equal(block, hamiltonian[index])
+        assert len(block_parts) == len(parts)
+        assert all(np.array_equal(a, b[index]) for a, b in zip(block_parts, parts))
+
+
+def test_sector_assembly_refuses_rows_that_leak():
+    # all of sectors 2 and 3 is a block of H; sector 2 plus one state of 3 is not
+    spec = tl.build_aklt(3)
+    hamiltonian, _ = tl.assemble(spec)
+    charge = tl.conserved_charge(spec)
+    rows = np.flatnonzero((charge == 2) | (charge == 3))
+    assert np.array_equal(tl.assemble(spec, rows)[0], hamiltonian[np.ix_(rows, rows)])
+    leaking = np.append(np.flatnonzero(charge == 2), np.flatnonzero(charge == 3)[0])
+    with pytest.raises(ValueError, match="couples the rows to other basis states"):
+        tl.assemble(spec, np.sort(leaking))
+    # lr conserves only the parity: digit sums 0 and 1 couple to 2 through XX and YY
+    lr = tl.build_long_range_heisenberg(6, 2.0)
+    sums = np.array([bin(i).count("1") for i in range(64)])
+    with pytest.raises(ValueError, match="couples the rows to other basis states"):
+        tl.assemble(lr, np.flatnonzero(sums <= 1))
+    for bad in (np.array([3, 2]), np.array([2, 2]), np.array([0, 27]), np.array([-1, 0]),
+                np.array([[0, 1]]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="rows must be sorted distinct basis states"):
+            tl.assemble(spec, bad)
+
+
+def test_spin_projector_terms_by_bit_equality():
+    aklt, mg = tl.build_aklt(4), tl.build_mg(5)
+    for spec in (aklt, mg, tl.spec_from_json(tl.spec_to_json(aklt)),
+                 tl.spec_from_json(tl.spec_to_json(mg))):
+        assert spin_projector_terms(spec)
+    lr = tl.build_long_range_heisenberg(4, 2.0)
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    aklt_plus = tl.HamiltonianSpec(aklt.lattice,
+                                   aklt.terms + (LocalTerm((1, 2), raw @ raw.conj().T / 9),),
+                                   aklt.partition + (3,), locality_k=2, model_tag="aklt_plus")
+
+    def with_first_block(spec, block):
+        terms = (LocalTerm(spec.terms[0].support, block),) + spec.terms[1:]
+        return tl.HamiltonianSpec(spec.lattice, terms, spec.partition,
+                                  locality_k=spec.locality_k, model_tag=spec.model_tag)
+
+    bond = aklt.terms[0].block
+    nudged = bond.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 2.0)
+    for spec in (lr, aklt_plus, with_first_block(aklt, 2 * bond),
+                 with_first_block(aklt, nudged)):
+        assert not spin_projector_terms(spec)
+    # every allowed total spin qualifies, not only the one the builders use
+    assert spin_projector_terms(with_first_block(aklt, tl.spin_sector_projector(2, 3, 0.0)))

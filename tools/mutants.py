@@ -42,8 +42,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("sector-map-drops-a-state", "src/trotterlab/errors.py",
-           "for label in range(charge.max() + 1):",
-           "for label in range(1, charge.max() + 1):",   # basis state 0 is its own U(1) sector
+           "for label in range(charge.max() + 1)]",
+           "for label in range(1, charge.max() + 1)]",   # basis state 0 is its own U(1) sector
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
     Mutant("detection-ignores-off-charge-entries", "src/trotterlab/operators.py",
@@ -74,8 +74,8 @@ MUTANTS = (
            "sum(alpha for _, alpha in stages)", "next(stages)[1]",
            ("tests/test_formulas.py",)),
     Mutant("errors-skip-first-sector", "src/trotterlab/errors.py",
-           "for s, sector in enumerate(self.sectors):",
-           "for s, sector in enumerate(self.sectors[1:], start=1):",
+           "for s, sector in enumerate(sectors):",
+           "for s, sector in enumerate(sectors[1:], start=1):",
            ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
     Mutant("errors-keep-last-sector-norm", "src/trotterlab/errors.py",
            "norms = [max(norm, _matrix_norm(diff[:, :m]))",
@@ -112,6 +112,18 @@ MUTANTS = (
     Mutant("expectation-walk-one-level-short", "src/trotterlab/errors.py",
            "_walk_sum(spec, depth, psi[:, None])", "_walk_sum(spec, depth - 1, psi[:, None])",
            ("tests/test_block_property.py::test_expectation_sum_matches_dense_oracle",)),
+    Mutant("spin-route-takes-sector-zero", "src/trotterlab/errors.py",
+           "return [self.sectors[n * (d - 1) // 2]]", "return [self.sectors[0]]",
+           ("tests/test_block_property.py::"
+            "test_spin_invariant_errors_from_one_sector_match_dense_oracle",)),
+    Mutant("every-block-a-spin-projector", "src/trotterlab/operators.py",
+           "if not any(np.array_equal(term.block, proj) for proj in projectors[k]):",
+           "if False:",
+           ("tests/test_operators.py::test_spin_projector_terms_by_bit_equality",
+            "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
+    Mutant("sector-assembly-skips-zero-check", "src/trotterlab/embedding.py",
+           "if values[..., ~inside].any():", "if False:",
+           ("tests/test_operators.py::test_sector_assembly_refuses_rows_that_leak",)),
 )
 
 
