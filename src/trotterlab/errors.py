@@ -17,6 +17,20 @@ acts as D_S (x) 1 on the spin-S multiplets.  The sector of smallest |S^z|
 holds one copy of every multiplet, and its norm alone is each error,
 projected or full; ``errors`` then skips the other sectors.
 
+When every term block equals its index reversal (``flip_invariant``), each
+term commutes with the spin flip F, the map i -> dim - 1 - i on basis
+indices, which flips every digit s -> d - 1 - s.  F maps the sector of
+digit sum c to that of N(d - 1) - c (for the parity charge, it swaps the two
+labels when N(d - 1) is odd).  A sector whose image is another sector is a
+mirror sector with the same norms, and ``errors`` visits only the smaller
+label of each mirror pair.  A sector that F maps to itself splits into two
+halves: its states a < F a pair with their images, and for odd d the
+all-middle-digit state is F's fixed point f.  On (e_a +- e_Fa)/sqrt(2) and
+e_f, one assembly of the sector folds into the + half [[M_pp + M_pF,
+sqrt(2) M_pf], [sqrt(2) M_fp, M_ff]] and the - half M_pp - M_pF (p the
+pairs, pF their images), with exactly 0 between them, so each half is a
+block of its own (Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
+
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
 a d^|U| x d^|U| block, stacks the blocks that share a union and reduces
@@ -34,10 +48,10 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .embedding import lift_block
-from .formulas import FormulaPlan, apply_plan
+from .formulas import FormulaPlan, apply_plan, check_stage_labels
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
-from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, low_energy_mask,
-                        spin_projector_terms)
+from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, flip_invariant,
+                        low_energy_mask, spin_projector_terms)
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
@@ -63,26 +77,71 @@ def lab_bytes(spec: HamiltonianSpec) -> int:
     return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
 
 
-class Sector:
-    """A charge sector: its sorted basis states ``rows``, and on first use the
-    ``eigh`` of H (eigenvalues ascending) and of each group on them.
+def _fold(block: np.ndarray, sign: int) -> np.ndarray:
+    """The flip half ``sign`` (+1 or -1) of a block on a sector that F maps to itself.
 
-    ``transitions`` is the cache that ``apply_plan`` fills for the sector.
-    The blocks come from one ``assemble(spec, rows)`` and each is freed once
-    its ``eigh`` is taken.
+    F reverses the sector's sorted states, so state i pairs with n - 1 - i:
+    the first n // 2 are the pairs and, for odd n, the middle one is the
+    fixed point.  The half acts on the pairs, then the fixed point (+ only);
+    0 keeps ``block`` whole.
+    """
+    if not sign:
+        return block
+    pairs, size = len(block) // 2, (len(block) + (sign > 0)) // 2
+    half = block[:size, :size].copy()
+    mirror = block[:pairs, ::-1][:, :pairs]   # M[a, F b] on the pairs
+    if sign > 0:
+        half[:pairs, :pairs] += mirror
+    else:
+        half -= mirror
+    half[pairs:, :pairs] *= math.sqrt(2)   # the fixed point's couplings, if any
+    half[:pairs, pairs:] *= math.sqrt(2)
+    return half
+
+
+class Sector:
+    """A block of H and the groups: a charge sector, or one flip half of one.
+
+    ``rows`` are the charge sector's sorted basis states; ``sign`` is 0 for
+    the whole sector, or +1 / -1 for its half on (e_a +- e_Fa)/sqrt(2)
+    (see the module docstring), and ``size`` counts its coordinates.  On
+    first use a sector takes the ``eigh`` of H (eigenvalues ascending) and
+    of each group on them.  ``transitions`` is the cache that ``apply_plan``
+    fills for the sector.  The halves of one charge sector share ``blocks``:
+    one ``assemble(spec, rows)`` folds into both, and each block is freed
+    once its ``eigh`` is taken.
     """
 
-    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray):
+    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int = 0,
+                 blocks: dict | None = None):
         self.spec = spec
         self.rows = rows
+        self.sign = sign
+        self.size = (rows.size + (sign > 0)) // 2 if sign else rows.size
         self.transitions: dict = {}
-        self._blocks: dict | None = None
+        self._blocks = {} if blocks is None else blocks
 
     def _take(self, name: str):
-        if self._blocks is None:
+        if self.sign not in self._blocks:
             hamiltonian, parts = assemble(self.spec, self.rows)
-            self._blocks = {"spectrum": hamiltonian, "part_spectra": parts}
-        return self._blocks.pop(name)
+            for sign in (1, -1) if self.sign else (0,):
+                self._blocks[sign] = {"spectrum": _fold(hamiltonian, sign),
+                                      "part_spectra": [_fold(part, sign) for part in parts]}
+        return self._blocks[self.sign].pop(name)
+
+    def lift(self, vectors: np.ndarray) -> np.ndarray:
+        """The sector's coordinate columns ``vectors`` as dim x m columns of the full
+        basis: each coordinate is e_a for the whole sector, (e_a +- e_Fa)/sqrt(2)
+        for a pair, e_f for F's fixed point."""
+        out = np.zeros((self.spec.lattice.hilbert_dim, vectors.shape[1]), vectors.dtype)
+        if not self.sign:
+            out[self.rows] = vectors
+            return out
+        pairs = self.rows.size // 2
+        out[self.rows[:pairs]] = vectors[:pairs] / math.sqrt(2)
+        out[self.rows[::-1][:pairs]] = self.sign * out[self.rows[:pairs]]
+        out[self.rows[pairs:self.size]] = vectors[pairs:]
+        return out
 
     @cached_property
     def spectrum(self):
@@ -100,7 +159,7 @@ def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:
     spectrum's scale; a sector's eigenvalues ascend, so its count is a
     column prefix.
     """
-    sizes = [sector.rows.size for sector in sectors]
+    sizes = [sector.size for sector in sectors]
     if delta is None:
         return sizes
     mask = low_energy_mask(np.concatenate([s.spectrum.eigenvalues for s in sectors]), delta)
@@ -111,7 +170,9 @@ class ErrorLab:
     """Per-sector spectra plus error evaluators for one Hamiltonian spec.
 
     ``sectors`` holds one ``Sector`` per label of ``conserved_charge`` (one
-    when nothing is conserved); each builds its spectra on first use, so the
+    when nothing is conserved), or for a flip-invariant spec its two halves
+    when F maps the label to itself; together their lifts are an orthonormal
+    basis of the whole space.  Each builds its spectra on first use, so the
     lab holds only sector-sized matrices.  Everything is float64 when every
     term block is real, complex128 otherwise.
     """
@@ -120,35 +181,38 @@ class ErrorLab:
         require_memory(lab_bytes(spec),
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
-        charge = conserved_charge(spec)
-        # every label from 0 to the largest occurs; np.unique would import numpy.ma
-        self.sectors = [Sector(spec, np.flatnonzero(charge == label))
-                        for label in range(charge.max() + 1)]
         self.spin_invariant = spin_projector_terms(spec)
+        charge = conserved_charge(spec)
+        flip = flip_invariant(spec)
+        n, d = spec.lattice.num_sites, spec.lattice.local_dim
+        assert not self.spin_invariant or charge.max() == n * (d - 1), \
+            "the charge must be the digit sum"
+        self.sectors: list[Sector] = []
+        # the sectors whose largest norm is each error: for a spin-invariant spec
+        # the smallest |S^z|, which holds a copy of every multiplet; otherwise
+        # all but the larger label of each mirror pair
+        self._visited: list[Sector] = []
+        # every label from 0 to the largest occurs; np.unique would import numpy.ma
+        for label in range(charge.max() + 1):
+            rows = np.flatnonzero(charge == label)
+            image = charge[-1 - rows[0]] if flip else label   # the label of F's image
+            if flip and image == label:
+                blocks: dict = {}
+                parts = [Sector(spec, rows, sign, blocks) for sign in (1, -1)]
+            else:
+                parts = [Sector(spec, rows)]
+            self.sectors += parts
+            if (label == n * (d - 1) // 2) if self.spin_invariant else label <= image:
+                self._visited += parts
 
     @property
     def max_energy(self) -> float:
         return max(float(s.spectrum.eigenvalues[-1]) for s in self.sectors)
 
-    def _error_sectors(self) -> list[Sector]:
-        """The sectors whose largest norm is each error: all, or for a spin-invariant
-        spec the one of smallest |S^z|, which holds a copy of every multiplet."""
-        if not self.spin_invariant:
-            return self.sectors
-        n, d = self.spec.lattice.num_sites, self.spec.lattice.local_dim
-        assert len(self.sectors) == n * (d - 1) + 1, "the charge must be the digit sum"
-        return [self.sectors[n * (d - 1) // 2]]
-
     def _scatter(self, columns: list[slice]) -> np.ndarray:
-        """dim x m block of each sector's eigenvector ``columns``, zero off its rows."""
-        blocks = [s.spectrum.eigenvectors[:, cut] for s, cut in zip(self.sectors, columns)]
-        out = np.zeros((self.spec.lattice.hilbert_dim, sum(v.shape[1] for v in blocks)),
-                       dtype=self.spec.dtype)
-        start = 0
-        for sector, vectors in zip(self.sectors, blocks):
-            out[sector.rows, start:start + vectors.shape[1]] = vectors
-            start += vectors.shape[1]
-        return out
+        """dim x m block of each sector's eigenvector ``columns``, lifted to the full basis."""
+        return np.hstack([s.lift(s.spectrum.eigenvectors[:, cut])
+                          for s, cut in zip(self.sectors, columns)])
 
     def low_column_basis(self, delta: float | None) -> np.ndarray:
         """Orthonormal eigenvector columns with eigenvalue <= delta, in sector order."""
@@ -160,11 +224,14 @@ class ErrorLab:
 
         Each sector takes one difference on its widest cutoff's column prefix,
         and a cutoff's norm is the largest of its prefixes'; None or inf means
-        all.  A spin-invariant spec visits only its smallest-|S^z| sector.
+        all.  A sector with no column below any cutoff adds nothing and is
+        skipped.  A spin-invariant spec visits only its smallest-|S^z| sector,
+        and a flip-invariant one skips mirror sectors.
         """
         if steps < 1:
             raise ValueError("need at least one step")
-        sectors = self._error_sectors()
+        check_stage_labels(plan)   # refused even when every sector is skipped
+        sectors = self._visited
         counts = [_column_counts(sectors, delta) for delta in deltas]
         norms = [0.0] * len(deltas)
         # the plan repeated steps times at t/steps
@@ -172,6 +239,8 @@ class ErrorLab:
         for s, sector in enumerate(sectors):
             widths = [count[s] for count in counts]
             width = max(widths, default=0)
+            if not width:
+                continue
             block = sector.spectrum.eigenvectors[:, :width]
             diff = block * np.exp(-1j * t * sector.spectrum.eigenvalues[:width])
             diff -= apply_plan(stepped, sector.part_spectra, t / steps, block,

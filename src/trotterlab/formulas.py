@@ -86,15 +86,21 @@ def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
     return plan
 
 
+def check_stage_labels(plan: FormulaPlan) -> None:
+    """Raise unless every stage label is a group of the plan, 1..Gamma."""
+    for gamma, _ in plan.stages:
+        if not 1 <= gamma <= plan.gamma_count:
+            raise ValueError(f"stage label {gamma} outside 1..{plan.gamma_count}")
+
+
 def validate_plan(plan: FormulaPlan) -> None:
     """Raise unless stage count, labels, coefficient sums and sizes all check out."""
     expected = cycle_count(plan.order_p) * plan.gamma_count
     if len(plan.stages) != expected:
         raise ValueError(f"expected {expected} stages, plan has {len(plan.stages)}")
+    check_stage_labels(plan)
     sums = dict.fromkeys(range(1, plan.gamma_count + 1), 0.0)
     for gamma, alpha in plan.stages:
-        if gamma not in sums:
-            raise ValueError(f"stage label {gamma} outside 1..{plan.gamma_count}")
         if abs(alpha) > 1.0 + 1e-12:
             raise ValueError(f"stage coefficient {alpha} exceeds unit magnitude")
         sums[gamma] += alpha
@@ -124,13 +130,11 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
         raise ValueError("group spectra have inconsistent dimensions")
     if np.ndim(block) != 2 or block.shape[0] != dim:
         raise ValueError(f"block must have shape ({dim}, m), got {np.shape(block)}")
+    check_stage_labels(plan)
     if transitions is None:
         transitions = {}
     runs = [(gamma, sum(alpha for _, alpha in stages))
             for gamma, stages in groupby(plan.stages, key=itemgetter(0))]
-    for gamma, _ in runs:
-        if not 1 <= gamma <= plan.gamma_count:
-            raise ValueError(f"stage label {gamma} outside 1..{plan.gamma_count}")
     current = runs[0][0]
     block = apply_matrix(parts_spectra[current - 1].eigenvectors.conj().T, block)
     for gamma, alpha in runs:

@@ -223,7 +223,9 @@ def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.nd
     ``casimir`` must be S(S+1) for a total spin S that the sites allow (n s,
     n s - 1, ... down to 0 or 1/2).  The projector is the Casimir polynomial
     prod_{S' != S} (C - S'(S'+1)) / (S(S+1) - S'(S'+1)) of C = (S_tot)^2, so
-    like C it is exactly 0 between different total S^z.
+    like C it is exactly 0 between different total S^z.  It is averaged with
+    its index reversal, which maps S^z to -S^z, so it equals
+    ``proj[::-1, ::-1]`` bit for bit.
     """
     allowed = spin_casimirs(n_sites, local_dim)
     if casimir not in allowed:
@@ -235,7 +237,7 @@ def spin_sector_projector(n_sites: int, local_dim: int, casimir: float) -> np.nd
     for other in allowed:
         if other != casimir:
             proj = proj @ (c - other * eye) / (casimir - other)
-    return proj
+    return (proj + proj[::-1, ::-1]) / 2
 
 
 def build_aklt(num_sites: int) -> HamiltonianSpec:

@@ -74,6 +74,17 @@ def conserved_charge(spec: HamiltonianSpec) -> np.ndarray:
     return np.zeros(d ** n, dtype=int)
 
 
+def flip_invariant(spec: HamiltonianSpec) -> bool:
+    """True when every term block equals ``block[::-1, ::-1]`` exactly.
+
+    Reversing a block's index flips every digit s -> d - 1 - s of its
+    support, so such a term commutes with the spin flip F, the map
+    i -> dim - 1 - i on basis indices, and H and every group are then
+    F-invariant exactly as assembled.  Bit equality decides it, no tolerance.
+    """
+    return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)
+
+
 def spin_projector_terms(spec: HamiltonianSpec) -> bool:
     """True when every term block equals a ``spin_sector_projector`` of its support exactly.
 

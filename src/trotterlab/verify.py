@@ -170,9 +170,9 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
         rest, _ = assemble(spec)
         dev = max(dev, abs(spectral_norm(rest) - eig_norm))
         for sector in lab.sectors:
-            index = np.ix_(sector.rows, sector.rows)
             w, v = sector.spectrum
-            rest[index] -= (v * w) @ v.conj().T
+            u = sector.lift(v)
+            rest -= (u * w) @ u.conj().T
         resid = max(resid, float(np.abs(rest).max()) / (1.0 + eig_norm))
     out.append(CheckResult("op-spectral-norm-eig", dev <= 1e-10, dev, 1e-10))
     out.append(CheckResult("op-spectral-reconstruct", resid <= 1e-9, resid, 1e-9))
@@ -200,7 +200,7 @@ def _formula_checks(lab_for) -> list[CheckResult]:
     for p in (1, 2, 4):
         plan = suzuki_plan(p, aklt3.spec.gamma_count)
         for sector in aklt3.sectors:
-            eye = np.eye(sector.rows.size)
+            eye = np.eye(sector.size)
             u = apply_plan(plan, sector.part_spectra, 0.3, eye)
             worst = max(worst, float(np.abs(u.conj().T @ u - eye).max()))
     out.append(CheckResult("pf-unitary", worst <= 1e-9, worst, 1e-9))

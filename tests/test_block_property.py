@@ -9,8 +9,11 @@ real-symmetric ones in float64; both are drawn.  A third family masks the
 terms to a conserved charge (digit sum or its parity, d = 2 or 3), so the
 lab's sector spectra are checked against one dense ``eigh``.  A fourth
 family is built of exact total-spin projectors, for which the lab takes
-every error from the smallest-|S^z| sector alone.  Examples are
-derandomized so the suite stays deterministic.
+every error from the smallest-|S^z| sector alone.  A fifth family is
+exactly flip-invariant, each block averaged with its index reversal, so the
+lab folds the sectors that the flip maps to themselves into halves and
+skips mirror sectors.  Examples are derandomized so the suite stays
+deterministic.
 """
 import math
 
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_dense
 import trotterlab as tl
 from trotterlab.lattice import spin_casimirs
+from trotterlab.operators import flip_invariant
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=100)
@@ -52,13 +56,17 @@ def digit_sums(num_sites, local_dim):
 
 
 @st.composite
-def charged_specs(draw, local_dims=(2, 3)):
+def charged_specs(draw, local_dims=(2, 3), moduli=(None, 2), flip=False):
     """PSD terms that are exactly 0 between unequal charges, with the modulus used.
 
-    The charge is the digit sum (modulus None) or its parity (modulus 2).
+    The charge is the digit sum (modulus None), its parity (modulus 2) or
+    nothing (modulus 1).  With ``flip`` each block B becomes
+    (B + B[::-1, ::-1]) / 2, exactly flip-invariant: then d = 3 puts F's
+    fixed point (every digit 1) in a sector, and N (d - 1) odd makes
+    digit-sum sectors mirror pairs and swaps the two parity labels.
     """
     local_dim = draw(st.sampled_from(local_dims))
-    modulus = draw(st.sampled_from((None, 2)))
+    modulus = draw(st.sampled_from(moduli))
     real = draw(st.booleans())
     num_sites = draw(st.integers(2, 5 if local_dim == 2 else 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -73,7 +81,8 @@ def charged_specs(draw, local_dims=(2, 3)):
         if not real:
             raw = raw + 1j * rng.standard_normal((local_dim ** size,) * 2)
         raw[charge[:, None] != charge] = 0
-        terms.append(tl.LocalTerm(support, raw @ raw.conj().T / local_dim ** size))
+        block = raw @ raw.conj().T / local_dim ** size
+        terms.append(tl.LocalTerm(support, (block + block[::-1, ::-1]) / 2 if flip else block))
     lattice = tl.LatticeSpec(num_sites, local_dim)
     partition = tl.greedy_partition(lattice, terms)
     locality = max(len(term.support) for term in terms)
@@ -198,3 +207,45 @@ def test_spin_invariant_errors_from_one_sector_match_dense_oracle(spec, order_p,
                                                                   inf_at, steps):
     assert tl.ErrorLab(spec).spin_invariant
     check_errors(spec, order_p, t, fractions, inf_at, steps)
+
+
+def check_low_column_projectors(lab, deltas):
+    for delta in deltas:
+        basis = lab.low_column_basis(delta)
+        assert np.abs(basis @ basis.conj().T
+                      - oracle_dense.projector(lab, delta)).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(drawn=charged_specs(moduli=(None, 2, 1), flip=True), **ERROR_DRAWS)
+def test_flip_halves_match_dense_oracle(drawn, order_p, t, fractions, inf_at, steps):
+    spec = drawn[0]
+    assert flip_invariant(spec)
+    lab = tl.ErrorLab(spec)
+    charge = tl.conserved_charge(spec)
+    halves = []   # a charge sector that the flip maps onto itself comes as its + and - halves
+    for label in range(charge.max() + 1):
+        rows = np.flatnonzero(charge == label)
+        halves += [1, -1] if set(charge.size - 1 - rows) == set(rows) else [0]
+    assert [sector.sign for sector in lab.sectors] == halves
+    assert sum(sector.size for sector in lab.sectors) == spec.lattice.hilbert_dim
+    check_errors(spec, order_p, t, fractions, inf_at, steps)
+    check_low_column_projectors(lab, [f * lab.max_energy for f in fractions] + [math.inf])
+
+
+def test_block_one_ulp_off_the_flip_does_not_qualify():
+    base = tl.build_long_range_heisenberg(5, 2.0)
+    assert flip_invariant(base)
+    block = base.terms[0].block.copy()
+    block[0, 0] = np.nextafter(block[0, 0].real, np.inf)   # diagonal: still Hermitian, same charge
+    terms = (tl.LocalTerm(base.terms[0].support, block),) + base.terms[1:]
+    spec = tl.HamiltonianSpec(base.lattice, terms, base.partition, locality_k=base.locality_k)
+    assert not flip_invariant(spec)
+    lab = tl.ErrorLab(spec)
+    assert [sector.sign for sector in lab.sectors] == [0, 0]   # the two parity sectors, whole
+    for p in (1, 2, 4):
+        plan = tl.suzuki_plan(p, spec.gamma_count)
+        deltas = [0.2 * lab.max_energy, 0.6 * lab.max_energy, math.inf]
+        assert lab.errors(plan, 0.3, deltas) == pytest.approx(
+            oracle_dense.errors(lab, plan, 0.3, deltas), rel=0, abs=1e-12)
+    check_low_column_projectors(lab, [0.2 * lab.max_energy])

@@ -22,34 +22,51 @@ from trotterlab.errors import lab_bytes
 
 def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
     sizes = []
-    real_eigh = errors.eigh
+    assembled = []
+    real_eigh, real_assemble = errors.eigh, errors.assemble
 
     def counting_eigh(matrix):
         sizes.append(matrix.shape[0])
         return real_eigh(matrix)
 
+    def counting_assemble(spec, rows):
+        assembled.append(rows.size)
+        return real_assemble(spec, rows)
+
     monkeypatch.setattr(errors, "eigh", counting_eigh)
+    monkeypatch.setattr(errors, "assemble", counting_assemble)
     lab = tl.ErrorLab(tl.build_aklt(4))
-    assert sizes == []   # a sector builds its spectra on first use
+    assert sizes == assembled == []   # a sector builds its spectra on first use
     for sector in lab.sectors:
         sector.spectrum, sector.part_spectra
-    # the 9 total-S^z sectors of four spin-1 sites, each for H and then each group
-    assert sizes == [size for size in (1, 4, 10, 16, 19, 16, 10, 4, 1) for _ in range(3)]
+    # the 9 total-S^z sectors of four spin-1 sites, each for H and then each group;
+    # the flip maps S^z = 0 (19 states, one fixed point) to itself: halves of 10 and 9
+    assert [(s.size, s.sign) for s in lab.sectors] == [
+        (1, 0), (4, 0), (10, 0), (16, 0), (10, 1), (9, -1), (16, 0), (10, 0), (4, 0), (1, 0)]
+    assert sizes == [s.size for s in lab.sectors for _ in range(3)]
+    assert assembled == [1, 4, 10, 16, 19, 16, 10, 4, 1]   # the halves share one assembly
     for sector in lab.sectors:   # cached, and the assembled blocks are freed
         sector.spectrum, sector.part_spectra
-        assert sector._blocks == {}
-    assert len(sizes) == 27
-    assert sorted(np.concatenate([sector.rows for sector in lab.sectors])) == list(range(81))
+        assert not any(sector._blocks.values())
+    assert len(sizes) == 30
+    # the lifts of all sectors are an orthonormal basis of the whole space
+    lifts = np.hstack([sector.lift(np.eye(sector.size)) for sector in lab.sectors])
+    assert np.abs(lifts.T @ lifts - np.eye(81)).max() <= 1e-15
+    assert sorted(np.concatenate([sector.rows for sector in lab.sectors if sector.sign >= 0])
+                  ) == list(range(81))
     h, parts = oracle_dense.kron_assemble(lab.spec)
     for index, matrix in enumerate((h, *parts)):
         spectra = [(sector.spectrum, *sector.part_spectra)[index] for sector in lab.sectors]
         assert all(np.all(np.diff(sd.eigenvalues) >= 0) for sd in spectra)
         assert np.abs(np.sort(np.concatenate([sd.eigenvalues for sd in spectra]))
                       - np.linalg.eigvalsh(matrix)).max() <= 1e-12
+        rebuilt = np.zeros_like(matrix)
         for sector, (w, v) in zip(lab.sectors, spectra):
-            assert np.abs(v.T @ v - np.eye(sector.rows.size)).max() <= 1e-12
-            block = matrix[np.ix_(sector.rows, sector.rows)]
-            assert np.abs((v * w) @ v.T - block).max() <= 1e-12
+            assert np.abs(v.T @ v - np.eye(sector.size)).max() <= 1e-12
+            u = sector.lift(v)
+            assert np.abs(u.T @ matrix @ u - np.diag(w)).max() <= 1e-12
+            rebuilt += (u * w) @ u.T
+        assert np.abs(rebuilt - matrix).max() <= 1e-12
 
 
 def test_full_error_against_expm_oracle(lab_cache):
@@ -126,18 +143,49 @@ def test_transitions_built_once_and_empty_block_is_zero():
         assert all(sector.transitions[key] is cache[key] for key in cache)
     assert lab.errors(plan, 0.3, (-1.0, -0.5)) == [0.0, 0.0]
     sector = lab.sectors[2]
-    empty = tl.apply_plan(plan, sector.part_spectra, 0.3, np.zeros((sector.rows.size, 0)),
+    empty = tl.apply_plan(plan, sector.part_spectra, 0.3, np.zeros((sector.size, 0)),
                           sector.transitions)
-    assert empty.shape == (sector.rows.size, 0)
-    # twice a projector is not spin-invariant by bit equality: every sector is visited
-    base = lab.spec
-    doubled = tl.HamiltonianSpec(base.lattice, tuple(tl.LocalTerm(term.support, 2 * term.block)
-                                                     for term in base.terms),
-                                 base.partition, locality_k=3)
-    other = tl.ErrorLab(doubled)
-    assert not other.spin_invariant
-    other.errors(plan, 0.2, (1.0, math.inf))
-    assert all(set(sector.transitions) == {(1, 2), (2, 3)} for sector in other.sectors)
+    assert empty.shape == (sector.size, 0)
+
+
+def doubled(spec):
+    """Twice every term: flip-invariant like ``spec``, but not spin-invariant."""
+    return tl.HamiltonianSpec(spec.lattice, tuple(tl.LocalTerm(term.support, 2 * term.block)
+                                                  for term in spec.terms),
+                              spec.partition, locality_k=spec.locality_k)
+
+
+@pytest.mark.parametrize("n, visited", [
+    # N = 5: the flip maps digit sum c to 5 - c, so 3, 4, 5 mirror 2, 1, 0
+    (5, [True] * 3 + [False] * 3),
+    # N = 6: 3 maps to itself and splits into its two halves
+    (6, [True] * 5 + [False] * 3),
+])
+def test_errors_skip_mirror_sectors(n, visited):
+    plan = tl.suzuki_plan(6, 3)
+    lab = tl.ErrorLab(doubled(tl.build_mg(n)))
+    assert not lab.spin_invariant
+    assert [s.sign for s in lab.sectors] == [0] * 3 + [1, -1] * (n % 2 == 0) + [0] * 3
+    values = lab.errors(plan, 0.2, (1.0, 3.0, math.inf))
+    # palindromic plans only step between neighbouring groups
+    assert [set(s.transitions) == {(1, 2), (2, 3)} for s in lab.sectors] == visited
+    assert not any(s.transitions for s, seen in zip(lab.sectors, visited) if not seen)
+    assert values == pytest.approx(oracle_dense.errors(lab, plan, 0.2, (1.0, 3.0, math.inf)),
+                                   rel=0, abs=1e-12)
+
+
+def test_errors_skip_sectors_without_columns():
+    # lr N=6: the ground state lies in one parity half; the other halves have
+    # no column at or below it and take neither group spectra nor apply_plan
+    lab = tl.ErrorLab(tl.build_long_range_heisenberg(6, 2.0))
+    assert [s.sign for s in lab.sectors] == [1, -1, 1, -1]
+    ground = min(float(s.spectrum.eigenvalues[0]) for s in lab.sectors)
+    plan = tl.suzuki_plan(2, lab.spec.gamma_count)
+    assert lab.errors(plan, 0.3, (ground,)) == pytest.approx(
+        oracle_dense.errors(lab, plan, 0.3, (ground,)), rel=0, abs=1e-12)
+    built = ["part_spectra" in vars(s) for s in lab.sectors]
+    assert built.count(True) == 1
+    assert [bool(s.transitions) for s in lab.sectors] == built
 
 
 def test_projected_monotone_in_delta_and_below_full(aklt4):
@@ -381,7 +429,7 @@ def test_error_lab_refuses_before_assembly(monkeypatch):
         tl.ErrorLab(spec)
     monkeypatch.undo()
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
-    assert sum(sector.rows.size for sector in tl.ErrorLab(spec).sectors) == 81
+    assert sum(sector.size for sector in tl.ErrorLab(spec).sectors) == 81
 
 
 RSS_PROBE = r"""

@@ -9,8 +9,9 @@ import pytest
 
 import trotterlab as tl
 from trotterlab import lattice
-from trotterlab.lattice import (LatticeSpec, LocalTerm, greedy_partition,
+from trotterlab.lattice import (LatticeSpec, LocalTerm, greedy_partition, spin_casimirs,
                                 spin_matrices, spin_sector_projector)
+from trotterlab.operators import flip_invariant
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SX1 = SQ2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
@@ -86,6 +87,15 @@ def test_casimir_projector_is_exactly_charge_conserving(build, n_sites, local_di
     assert off_charge.size and np.all(off_charge == 0.0)
     reference = eigh_sector_projector(n_sites, local_dim, casimir)
     assert np.abs(block - reference).max() <= 1e-15
+
+
+def test_spin_projectors_are_exactly_flip_symmetric():
+    # the index reversal maps S^z to -S^z, so the models commute with the spin flip
+    for n_sites, local_dim in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        for casimir in spin_casimirs(n_sites, local_dim):
+            proj = spin_sector_projector(n_sites, local_dim, casimir)
+            assert np.array_equal(proj, proj[::-1, ::-1])
+    assert flip_invariant(tl.build_aklt(5)) and flip_invariant(tl.build_mg(6))
 
 
 def test_casimir_must_be_an_allowed_total_spin():

@@ -42,8 +42,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("sector-map-drops-a-state", "src/trotterlab/errors.py",
-           "for label in range(charge.max() + 1)]",
-           "for label in range(1, charge.max() + 1)]",   # basis state 0 is its own U(1) sector
+           "for label in range(charge.max() + 1):",
+           "for label in range(1, charge.max() + 1):",   # basis state 0 is its own U(1) sector
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
     Mutant("detection-ignores-off-charge-entries", "src/trotterlab/operators.py",
@@ -113,7 +113,7 @@ MUTANTS = (
            "_walk_sum(spec, depth, psi[:, None])", "_walk_sum(spec, depth - 1, psi[:, None])",
            ("tests/test_block_property.py::test_expectation_sum_matches_dense_oracle",)),
     Mutant("spin-route-takes-sector-zero", "src/trotterlab/errors.py",
-           "return [self.sectors[n * (d - 1) // 2]]", "return [self.sectors[0]]",
+           "(label == n * (d - 1) // 2)", "(label == 0)",
            ("tests/test_block_property.py::"
             "test_spin_invariant_errors_from_one_sector_match_dense_oracle",)),
     Mutant("every-block-a-spin-projector", "src/trotterlab/operators.py",
@@ -121,6 +121,32 @@ MUTANTS = (
            "if False:",
            ("tests/test_operators.py::test_spin_projector_terms_by_bit_equality",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
+    Mutant("minus-half-folded-with-plus", "src/trotterlab/errors.py",
+           "        half -= mirror", "        half += mirror",
+           ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("fixed-point-coupling-without-sqrt2", "src/trotterlab/errors.py",
+           "    half[pairs:, :pairs] *= math.sqrt(2)   # the fixed point's couplings, if any\n"
+           "    half[:pairs, pairs:] *= math.sqrt(2)\n",
+           "",
+           ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("lift-partner-without-sign", "src/trotterlab/errors.py",
+           "= self.sign * out[self.rows[:pairs]]", "= out[self.rows[:pairs]]",
+           ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("mirror-skip-visits-larger-label", "src/trotterlab/errors.py",
+           "else label <= image:", "else label >= image:",
+           ("tests/test_errors.py::test_errors_skip_mirror_sectors",)),
+    Mutant("mirror-skip-drops-self-mapped-sector", "src/trotterlab/errors.py",
+           "else label <= image:", "else label < image:",
+           ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("every-spec-flip-invariant", "src/trotterlab/operators.py",
+           "return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)",
+           "return True",
+           ("tests/test_block_property.py::test_block_one_ulp_off_the_flip_does_not_qualify",
+            "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
+    Mutant("errors-skip-label-check", "src/trotterlab/errors.py",
+           "        check_stage_labels(plan)   # refused even when every sector is skipped\n",
+           "",
+           ("tests/test_formulas.py::test_apply_plan_refuses_bad_labels",)),
     Mutant("sector-assembly-skips-zero-check", "src/trotterlab/embedding.py",
            "if values[..., ~inside].any():", "if False:",
            ("tests/test_operators.py::test_sector_assembly_refuses_rows_that_leak",)),
