@@ -181,13 +181,12 @@ def trotter_count_formula(inputs: BoundInputs, regime: str = "const_gamma") -> i
 
 
 def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
-                            delta: float, eps_total: float,
-                            max_steps: int = CERTIFIED_MAX_STEPS) -> int:
+                            delta: float, eps_total: float) -> int:
     """Smallest step count r with r * error(t/r) <= eps on the delta subspace.
 
     Doubling followed by bisection on the per-step criterion; the returned r
     is then verified a posteriori against the directly computed stepped
-    error.  Aborts with a diagnostic if r would exceed ``max_steps``.
+    error.  Aborts with a diagnostic if r would exceed ``CERTIFIED_MAX_STEPS``.
     """
     if eps_total <= 0:
         raise ValueError("eps_total must be positive")
@@ -200,9 +199,9 @@ def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
     steps = 1
     while not passes(steps):
         steps *= 2
-        if steps > max_steps:
+        if steps > CERTIFIED_MAX_STEPS:
             raise RuntimeError(
-                f"no passing step count up to {max_steps} "
+                f"no passing step count up to {CERTIFIED_MAX_STEPS} "
                 f"(t={t}, delta={delta}, eps={eps_total})")
     if steps > 1:
         low, high = steps // 2 + 1, steps

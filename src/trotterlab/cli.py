@@ -21,10 +21,10 @@ from .bounds import (BoundInputs, FORMULA_COMMUTATOR, FORMULA_COUNT_CONST,
                      const_gamma_error_bound, generic_error_bound,
                      projected_commutator_bound, trotter_count_formula,
                      weakly_correlated_number)
-from .errors import ErrorLab, lab_bytes
+from .errors import ErrorLab
 from .formulas import suzuki_plan
 from .lattice import (build_aklt, build_long_range_heisenberg, build_mg,
-                      extensiveness, require_memory, spec_to_json)
+                      extensiveness, spec_to_json)
 from .verify import results_to_csv, run_verify
 
 CSV_HEADER = ["model", "N", "p", "Gamma", "t", "delta", "error_kind", "error_value",
@@ -151,30 +151,26 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 
 def _admit(config: SweepConfig) -> dict:
-    """Check the output path, build and admit each chain size, then the eps_small
-    floor at the largest N and the phase round-off at the largest t.
-
-    Returns the model of each chain size, ``{n: spec}``, built once here.
-    """
+    """Check the output path, then build and admit ``{n: lab}``, one lab per chain size
+    (each builds its sectors on first use), then the eps_small floor at the
+    largest N and the phase round-off at the largest t."""
     _check_output_path(config.output_path)
-    # labs run one at a time, so each is admitted on its own before any is built
     try:
-        specs = {n: _build_model(config.model, n, config.nu, config.j0) for n in config.n_list}
-        for n, spec in specs.items():
-            require_memory(lab_bytes(spec), f"{config.model} N={n}")
+        labs = {n: ErrorLab(_build_model(config.model, n, config.nu, config.j0))
+                for n in config.n_list}
     except ValueError as exc:
         raise ConfigError(f"key 'n': {exc}") from exc
-    if not math.isfinite(2 * max(specs) / config.eps_small):
+    if not math.isfinite(2 * max(labs) / config.eps_small):
         raise ConfigError(f"key 'eps_small': {config.eps_small!r} is too small, "
-                          f"2 N / eps_small is not finite at N = {max(specs)}")
+                          f"2 N / eps_small is not finite at N = {max(labs)}")
     t_max = max(config.t_list)
-    for n, spec in specs.items():
-        roundoff = 2.0 ** -53 * t_max * n * extensiveness(spec)
+    for n, lab in labs.items():
+        roundoff = 2.0 ** -53 * t_max * n * extensiveness(lab.spec)
         if roundoff > PHASE_ROUNDOFF_LIMIT:
             raise ConfigError(f"key 't': at t = {t_max!r} the phases exp(-iEt) of "
                               f"{config.model} N={n} round off by up to {roundoff:.4g}, "
                               f"above {PHASE_ROUNDOFF_LIMIT:g}")
-    return specs
+    return labs
 
 
 def _build_model(model: str, n: int, nu: float, j0: float):
@@ -189,8 +185,8 @@ def _empty_row() -> dict:
     return dict.fromkeys(CSV_HEADER)
 
 
-def _task_rows(config: SweepConfig, n: int, spec) -> list[dict]:
-    lab = ErrorLab(spec)
+def _task_rows(config: SweepConfig, n: int, lab: ErrorLab) -> list[dict]:
+    spec = lab.spec
     g = extensiveness(spec)
     k = spec.locality_k
     gamma = spec.gamma_count
@@ -273,9 +269,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 def run_sweep(config: SweepConfig) -> str:
     """Admit each chain size, evaluate the grid, return (and optionally write) the sorted CSV."""
-    specs = _admit(config)
-    rows = [row for n, spec in specs.items() for row in _task_rows(config, n, spec)]
-    rows.sort(key=_sort_key)
+    labs = _admit(config)
+    # one lab at a time, each dropped once its rows are done
+    rows = sorted((row for n in config.n_list for row in _task_rows(config, n, labs.pop(n))),
+                  key=_sort_key)
     text = rows_to_csv(rows)
     if config.output_path:
         _write_atomic(config.output_path, text)

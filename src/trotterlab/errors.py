@@ -55,26 +55,60 @@ from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, 
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
-# complex dim x dim blocks of a full error (the difference, the Trotter side,
-# the Gram matrix and its eigvalsh copy): the smallest count that keeps
-# lab_bytes 5% above every measured peak RSS rise (AKLT N=6, 7; MG N=9, 10,
-# 11; lr N=9, 10; p = 1 to 6; cutoffs 1.0 and inf).
+# complex blocks of the largest visited sector in a full error's working set
+# (the difference, the Trotter side, the Gram matrix and its eigvalsh copy)
 LAB_COMPLEX_BLOCKS = 4
+# a run's allocations beyond its blocks (index arrays, BLAS and allocator
+# buffers): four times the 1.9 MiB peak RSS rise of the smallest sweeps
+LAB_FLOOR_BYTES = 8 * 2 ** 20
 
 
-def lab_bytes(spec: HamiltonianSpec) -> int:
-    """Peak bytes of an ``ErrorLab``: dim^2 (s (2 Gamma + Gamma (Gamma - 1)/2 + 2) + 16 B).
+def _half_size(n: int, sign: int) -> int:
+    """Coordinates of a sector of n states, or of its flip half ``sign`` (+1 or -1)."""
+    return (n + (sign > 0)) // 2 if sign else n
 
-    s is the itemsize of ``spec.dtype`` (8 when every term is real, else 16).
-    It counts H and its eigenvectors, the Gamma group Hamiltonians and their
-    eigenvectors, and the transitions between group eigenbases as if each
-    were dense, so with charge sectors it is an upper bound; B =
-    ``LAB_COMPLEX_BLOCKS`` complex blocks hold a full error's working set.
+
+def sector_listing(spec: HamiltonianSpec) -> list[tuple[np.ndarray, int, bool]]:
+    """(rows, sign, visited) per ``Sector`` of an ``ErrorLab``, from dim-length arrays only.
+
+    ``rows`` are the sorted basis states of one label of ``conserved_charge``;
+    ``sign`` is 0 for the whole sector, or +1 then -1 for its halves on
+    (e_a +- e_Fa)/sqrt(2) when F maps it to itself.  ``visited`` marks the
+    sectors whose largest norms are the errors: the smallest |S^z| for a
+    spin-invariant spec, else all but the larger label of each mirror pair.
     """
-    gamma = spec.gamma_count
-    matrices = 2 * gamma + gamma * (gamma - 1) // 2 + 2
-    entries = spec.lattice.hilbert_dim ** 2
-    return entries * (spec.dtype.itemsize * matrices + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS)
+    spin_invariant = spin_projector_terms(spec)
+    charge = conserved_charge(spec)
+    flip = flip_invariant(spec)
+    n, d = spec.lattice.num_sites, spec.lattice.local_dim
+    assert not spin_invariant or charge.max() == n * (d - 1), "the charge must be the digit sum"
+    listing = []
+    # every label from 0 to the largest occurs; np.unique would import numpy.ma
+    for label in range(charge.max() + 1):
+        rows = np.flatnonzero(charge == label)
+        image = charge[-1 - rows[0]] if flip else label   # the label of F's image
+        visited = (label == n * (d - 1) // 2) if spin_invariant else label <= image
+        signs = (1, -1) if flip and image == label else (0,)
+        listing += [(rows, sign, visited) for sign in signs]
+    return listing
+
+
+def lab_bytes(spec: HamiltonianSpec, listing: list) -> int:
+    """Peak bytes of an ``ErrorLab`` on the sectors ``listing`` of ``sector_listing``.
+
+    At s bytes per entry of ``spec.dtype``: Gamma + 1 blocks on the largest
+    charge sector's n states, n^2 entries each plus (n^2 + 1) // 2 for their
+    folded halves; H's eigenvectors on every sector; Gamma group eigenvectors
+    and Gamma (Gamma - 1)/2 transitions per visited sector; ``LAB_COMPLEX_BLOCKS``
+    complex blocks of the largest visited sector; ``LAB_FLOOR_BYTES``.
+    """
+    gamma, s = spec.gamma_count, spec.dtype.itemsize
+    squares = [_half_size(rows.size, sign) ** 2 for rows, sign, _ in listing]
+    visited = [square for (_, _, seen), square in zip(listing, squares) if seen]
+    assembly = max(rows.size ** 2 + (sign != 0) * (rows.size ** 2 + 1) // 2
+                   for rows, sign, _ in listing)
+    return (s * ((gamma + 1) * assembly + sum(squares) + gamma * (gamma + 1) // 2 * sum(visited))
+            + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS * max(visited) + LAB_FLOOR_BYTES)
 
 
 def _fold(block: np.ndarray, sign: int) -> np.ndarray:
@@ -87,7 +121,7 @@ def _fold(block: np.ndarray, sign: int) -> np.ndarray:
     """
     if not sign:
         return block
-    pairs, size = len(block) // 2, (len(block) + (sign > 0)) // 2
+    pairs, size = len(block) // 2, _half_size(len(block), sign)
     half = block[:size, :size].copy()
     mirror = block[:pairs, ::-1][:, :pairs]   # M[a, F b] on the pairs
     if sign > 0:
@@ -100,26 +134,22 @@ def _fold(block: np.ndarray, sign: int) -> np.ndarray:
 
 
 class Sector:
-    """A block of H and the groups: a charge sector, or one flip half of one.
+    """A block of H and the groups on the ``rows`` and ``sign`` of a ``sector_listing`` entry.
 
-    ``rows`` are the charge sector's sorted basis states; ``sign`` is 0 for
-    the whole sector, or +1 / -1 for its half on (e_a +- e_Fa)/sqrt(2)
-    (see the module docstring), and ``size`` counts its coordinates.  On
-    first use a sector takes the ``eigh`` of H (eigenvalues ascending) and
-    of each group on them.  ``transitions`` is the cache that ``apply_plan``
-    fills for the sector.  The halves of one charge sector share ``blocks``:
-    one ``assemble(spec, rows)`` folds into both, and each block is freed
-    once its ``eigh`` is taken.
+    ``size`` counts its coordinates.  On first use a sector takes the
+    ``eigh`` of H (eigenvalues ascending) and of each group on them, and
+    ``transitions`` is the cache that ``apply_plan`` fills for it.  The halves
+    of one charge sector share ``blocks``: one ``assemble(spec, rows)`` folds
+    into both, and each block is freed once its ``eigh`` is taken.
     """
 
-    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int = 0,
-                 blocks: dict | None = None):
+    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int, blocks: dict):
         self.spec = spec
         self.rows = rows
         self.sign = sign
-        self.size = (rows.size + (sign > 0)) // 2 if sign else rows.size
+        self.size = _half_size(rows.size, sign)
         self.transitions: dict = {}
-        self._blocks = {} if blocks is None else blocks
+        self._blocks = blocks
 
     def _take(self, name: str):
         if self.sign not in self._blocks:
@@ -169,45 +199,26 @@ def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:
 class ErrorLab:
     """Per-sector spectra plus error evaluators for one Hamiltonian spec.
 
-    ``sectors`` holds one ``Sector`` per label of ``conserved_charge`` (one
-    when nothing is conserved), or for a flip-invariant spec its two halves
-    when F maps the label to itself; together their lifts are an orthonormal
-    basis of the whole space.  Each builds its spectra on first use, so the
-    lab holds only sector-sized matrices.  Everything is float64 when every
-    term block is real, complex128 otherwise.
+    ``sectors`` holds one ``Sector`` per entry of ``sector_listing``; their
+    lifts together are an orthonormal basis of the whole space.  A lab whose
+    ``lab_bytes`` exceed physical memory is refused before any is built.
+    Everything is float64 when every term block is real, complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
-        require_memory(lab_bytes(spec),
+        listing = sector_listing(spec)
+        require_memory(lab_bytes(spec, listing),
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
-        self.spin_invariant = spin_projector_terms(spec)
-        charge = conserved_charge(spec)
-        flip = flip_invariant(spec)
-        n, d = spec.lattice.num_sites, spec.lattice.local_dim
-        assert not self.spin_invariant or charge.max() == n * (d - 1), \
-            "the charge must be the digit sum"
-        self.sectors: list[Sector] = []
-        # the sectors whose largest norm is each error: for a spin-invariant spec
-        # the smallest |S^z|, which holds a copy of every multiplet; otherwise
-        # all but the larger label of each mirror pair
-        self._visited: list[Sector] = []
-        # every label from 0 to the largest occurs; np.unique would import numpy.ma
-        for label in range(charge.max() + 1):
-            rows = np.flatnonzero(charge == label)
-            image = charge[-1 - rows[0]] if flip else label   # the label of F's image
-            if flip and image == label:
-                blocks: dict = {}
-                parts = [Sector(spec, rows, sign, blocks) for sign in (1, -1)]
-            else:
-                parts = [Sector(spec, rows)]
-            self.sectors += parts
-            if (label == n * (d - 1) // 2) if self.spin_invariant else label <= image:
-                self._visited += parts
+        shared: dict = {}   # the halves of one charge sector share one assembly
+        self.sectors = [Sector(spec, rows, sign, shared.setdefault(int(rows[0]), {}))
+                        for rows, sign, _ in listing]
+        self._visited = [sector for sector, (_, _, seen) in zip(self.sectors, listing) if seen]
 
     @property
     def max_energy(self) -> float:
-        return max(float(s.spectrum.eigenvalues[-1]) for s in self.sectors)
+        """The largest eigenvalue of H, held by a visited sector (see ``sector_listing``)."""
+        return max(float(s.spectrum.eigenvalues[-1]) for s in self._visited)
 
     def _scatter(self, columns: list[slice]) -> np.ndarray:
         """dim x m block of each sector's eigenvector ``columns``, lifted to the full basis."""
@@ -231,12 +242,11 @@ class ErrorLab:
         if steps < 1:
             raise ValueError("need at least one step")
         check_stage_labels(plan)   # refused even when every sector is skipped
-        sectors = self._visited
-        counts = [_column_counts(sectors, delta) for delta in deltas]
+        counts = [_column_counts(self._visited, delta) for delta in deltas]
         norms = [0.0] * len(deltas)
         # the plan repeated steps times at t/steps
         stepped = FormulaPlan(plan.order_p, plan.gamma_count, plan.stages * steps)
-        for s, sector in enumerate(sectors):
+        for s, sector in enumerate(self._visited):
             widths = [count[s] for count in counts]
             width = max(widths, default=0)
             if not width:
@@ -356,8 +366,8 @@ def _walk_sum(spec: HamiltonianSpec, depth: int, basis: np.ndarray | None) -> fl
     tensor = None if basis is None else basis.reshape((d,) * spec.lattice.num_sites + (-1,))
     views: dict[tuple[int, ...], np.ndarray] = {}
     total = 0.0
+    lifts: dict = {}
     for root, group in groups.items():
-        lifts: dict = {}
         level = {root: _lift_group(group, root, d)}
         for _ in range(depth - 1):
             below: dict[tuple[int, ...], list] = {}

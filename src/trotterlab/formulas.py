@@ -59,11 +59,6 @@ class FormulaPlan:
     gamma_count: int
     stages: tuple[tuple[int, float], ...]
 
-    @property
-    def cycles(self) -> int:
-        """Passes over the groups: ``cycle_count(order_p)`` for a valid plan."""
-        return len(self.stages) // self.gamma_count
-
 
 def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
     """Build the order-p Suzuki plan for ``gamma_count`` groups."""

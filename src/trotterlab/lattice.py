@@ -83,8 +83,8 @@ def require_memory(need: int, what: str) -> None:
 class LatticeSpec:
     """Open chain of ``num_sites`` sites with ``local_dim`` states each.
 
-    Everything built on a lattice is dense, so a lattice is refused when one
-    dim x dim complex matrix would not fit in physical memory.
+    Refused when ``dim = local_dim ** num_sites`` reaches 2^64, so that every
+    basis index fits an int64; what a run allocates is checked where it is.
     """
 
     num_sites: int
@@ -96,14 +96,9 @@ class LatticeSpec:
         if self.local_dim < 2:
             raise ValueError(f"need local_dim >= 2, got {self.local_dim}")
         if self.num_sites >= 64 / math.log2(self.local_dim):
-            # dim >= 2^64: refuse without forming d^N and 16 d^2N, slow to build and print
-            side = f"{self.local_dim}^{self.num_sites}"
-            raise ValueError(f"a {self.num_sites}-site lattice (one dense {side}x{side} complex "
-                             f"matrix) needs at least 2^132 bytes, more than the "
-                             f"{physical_memory()} bytes of physical memory")
-        dim = self.hilbert_dim
-        require_memory(COMPLEX_BYTES * dim ** 2,
-                       f"a {self.num_sites}-site lattice (one dense {dim}x{dim} complex matrix)")
+            # refuse without forming d^N, slow to build and print
+            raise ValueError(f"{self.local_dim}^{self.num_sites} >= 2^64 states need >= 2^67 "
+                             f"bytes, more than the {physical_memory()} bytes of physical memory")
 
     @property
     def hilbert_dim(self) -> int:

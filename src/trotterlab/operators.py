@@ -15,14 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding import block_entries, embed_block
-from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm, spin_casimirs,
-                      spin_sector_projector)
+from .lattice import (COMPLEX_BYTES, HamiltonianSpec, LatticeSpec, LocalTerm, require_memory,
+                      spin_casimirs, spin_sector_projector)
 
 SPECTRAL_TIE_TOL = 1e-12
 
 
 def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
     """Embed a local term into the full chain (identity off support)."""
+    require_memory(COMPLEX_BYTES * lattice.hilbert_dim ** 2, "a dense embedded term")
     return embed_block(term.block, term.support, lattice.num_sites, lattice.local_dim)
 
 
@@ -36,6 +37,7 @@ def assemble(spec: HamiltonianSpec,
     """
     size = spec.lattice.hilbert_dim if rows is None else len(rows)
     dtype = spec.dtype
+    require_memory((spec.gamma_count + 1) * dtype.itemsize * size ** 2, "H and its groups")
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
     total = np.zeros((size, size), dtype=dtype)
     partials = [np.zeros((size, size), dtype=dtype) for _ in range(spec.gamma_count)]
@@ -67,6 +69,8 @@ def conserved_charge(spec: HamiltonianSpec) -> np.ndarray:
     H and every group are then block diagonal on the states of equal label.
     """
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
+    # int64: the n digit arrays of every basis index, their stacked copy, the sum, the labels
+    require_memory(8 * (2 * n + 2) * d ** n, f"the charge labels of {d}^{n} basis states")
     for modulus in (n * (d - 1) + 1, 2):   # the digit sum itself, then its parity
         if all(_conserves(term.block, _digit_sums(len(term.support), d) % modulus)
                for term in spec.terms):

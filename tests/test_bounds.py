@@ -13,6 +13,7 @@ import pytest
 
 import oracle_dense
 import trotterlab as tl
+from trotterlab import bounds
 
 
 def make_inputs(**overrides) -> tl.BoundInputs:
@@ -228,10 +229,11 @@ def test_certified_minimal_and_directly_verified(aklt4):
     assert direct <= 1e-3
 
 
-def test_certified_aborts_past_step_cap(mg4):
+def test_certified_aborts_past_step_cap(mg4, monkeypatch):
     plan = tl.suzuki_plan(1, 2)
-    with pytest.raises(RuntimeError, match="no passing step count"):
-        tl.trotter_number_certified(mg4, plan, 1.0, 2.0, 1e-9, max_steps=4)
+    monkeypatch.setattr(bounds, "CERTIFIED_MAX_STEPS", 4)
+    with pytest.raises(RuntimeError, match="no passing step count up to 4 "):
+        tl.trotter_number_certified(mg4, plan, 1.0, 2.0, 1e-9)
 
 
 # ---------------------------------------------- weakly correlated states

@@ -3,11 +3,13 @@ import hashlib
 import math
 import os
 import time
+import weakref
 
 import pytest
 
 import trotterlab as tl
-from trotterlab import cli, lattice
+from trotterlab import cli, errors, lattice
+from trotterlab.errors import lab_bytes, sector_listing
 
 EXPECTED_HEADER = ("model,N,p,Gamma,t,delta,error_kind,error_value,"
                    "bound_cor_s4,bound_thm_s3,delta_prime,p0,"
@@ -81,15 +83,24 @@ def no_lab(*args, **kwargs):
     raise AssertionError("a lab was built before the sweep was admitted")
 
 
+def no_assembly(*args, **kwargs):
+    raise AssertionError("a sector was assembled before the sweep was admitted")
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("model = mg\nn = 2\np = 1\nt = 0.1\ndelta = 1", "at least 3 sites"),
     ("model = aklt\nn = 3\np = 1\nt = 0.0, 0.1\ndelta = 1.0\nbounds = true\n"
      "eps_small = 1e-320", "2 N / eps_small is not finite"),
-    ("model = aklt\nn = 10\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
+    ("model = aklt\nn = 11\np = 1\nt = 0.1\ndelta = 1", "bytes of physical memory"),
+    # every lab is admitted before the first one runs
+    ("model = aklt\nn = 3, 11\np = 1\nt = 0.1\ndelta = 1", "aklt N=11 needs"),
+    ("model = mg\nn = 16\np = 1\nt = 0.1\ndelta = 1", "mg N=16 needs"),
 ])
 def test_sweep_rejects_before_any_lab(text, fragment, monkeypatch):
-    # checks that need a model run once, at the start of run_sweep
-    monkeypatch.setattr(cli, "ErrorLab", no_lab)
+    # checks that need a model run once, at the start of run_sweep; the sizes
+    # are refused on a machine of 8 GiB
+    monkeypatch.setattr(errors, "assemble", no_assembly)
+    monkeypatch.setattr(lattice, "physical_memory", lambda: 8 * 2 ** 30)
     config = cli.parse_sweep_config(text)
     with pytest.raises(cli.ConfigError) as info:
         cli.run_sweep(config)
@@ -107,9 +118,10 @@ def test_huge_chain_refused_quickly(monkeypatch):
 
 
 def test_admission_follows_orders(monkeypatch):
-    # MG N=6 needs 64^2 (8 * 11 + 16 * 4) bytes at every order: no stage
-    # unitary is cached; MG N=5 needs a quarter of that
-    need = 64 ** 2 * (8 * 11 + 16 * 4)
+    # a lab is admitted at lab_bytes of its sectors at every order: no stage
+    # unitary is cached
+    spec = tl.build_mg(6)
+    need = lab_bytes(spec, sector_listing(spec))
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
     base = "model = mg\nt = 0.1\ndelta = 1\n"
 
@@ -123,12 +135,26 @@ def test_admission_follows_orders(monkeypatch):
     with pytest.raises(cli.ConfigError, match=f"needs {need} bytes, more than "
                                               f"the {need - 1} bytes"):
         sweep("n = 6\np = 1")
-    # labs run one at a time: each chain size is admitted on its own
+    # labs run one at a time: each chain size is admitted on its own (MG N=5
+    # needs less than N=6)
     monkeypatch.setattr(lattice, "physical_memory", lambda: need)
     assert sweep("n = 5, 6\np = 6") == [("5", "6"), ("6", "6")]
     monkeypatch.setattr(lattice, "physical_memory", lambda: need - 1)
     with pytest.raises(cli.ConfigError, match=f"mg N=6 needs {need} bytes"):
         sweep("n = 5, 6\np = 1")
+
+
+def test_sweep_drops_each_lab_once_its_rows_are_done(monkeypatch):
+    task_rows, alive = cli._task_rows, []
+
+    def tracking(config, n, lab):
+        alive.append(weakref.ref(lab))
+        assert [ref() is not None for ref in alive] == [False] * (len(alive) - 1) + [True]
+        return task_rows(config, n, lab)
+
+    monkeypatch.setattr(cli, "_task_rows", tracking)
+    cli.run_sweep(cli.parse_sweep_config("model = aklt\nn = 3, 4, 5\np = 1\nt = 0.1\ndelta = 1"))
+    assert len(alive) == 3 and alive[-1]() is None
 
 
 # -------------------------------------------------------------- sweeps
@@ -393,14 +419,18 @@ def test_main_dump_model_rejects_small_chain(monkeypatch, capsys):
     assert cli.main(["dump-model", "--model", "lr_heisenberg", "--n", "3",
                      "--nu", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
-    # a lattice whose dense matrix exceeds physical memory is refused too
+    # no dense matrix is built, so only a lattice of 2^64 states or more is refused
     monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * 3 ** 12)
-    assert cli.main(["dump-model", "--model", "aklt", "--n", "6"]) == 0
+    assert cli.main(["dump-model", "--model", "aklt", "--n", "7"]) == 0
     capsys.readouterr()
-    assert cli.main(["dump-model", "--model", "aklt", "--n", "7"]) == 2
-    assert f"needs {16 * 3 ** 14} bytes, more than the {16 * 3 ** 12}" in capsys.readouterr().err
     assert cli.main(["dump-model", "--model", "aklt", "--n", "100000"]) == 2
     assert "bytes of physical memory" in capsys.readouterr().err
+
+
+def test_main_dump_model_builds_no_dense_matrix(capsys):
+    assert cli.main(["dump-model", "--model", "aklt", "--n", "10"]) == 0
+    spec = tl.spec_from_json(capsys.readouterr().out)
+    assert spec.model_tag == "aklt" and spec.lattice.hilbert_dim == 3 ** 10
 
 
 @pytest.mark.parametrize("command", ["sweep", "bounds", "verify", "dump-model"])

@@ -17,7 +17,8 @@ import scipy.linalg
 import oracle_dense
 import trotterlab as tl
 from trotterlab import errors, lattice
-from trotterlab.errors import lab_bytes
+from trotterlab.errors import LAB_FLOOR_BYTES, lab_bytes, sector_listing
+from trotterlab.operators import spin_projector_terms
 
 
 def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
@@ -130,7 +131,7 @@ def test_complex_block_assembles_complex_and_matches_oracle():
 
 def test_transitions_built_once_and_empty_block_is_zero():
     lab = tl.ErrorLab(tl.build_mg(5))
-    assert lab.spin_invariant
+    assert spin_projector_terms(lab.spec)
     plan = tl.suzuki_plan(6, lab.spec.gamma_count)
     lab.errors(plan, 0.2, (1.0, math.inf))
     built = [dict(sector.transitions) for sector in lab.sectors]
@@ -164,7 +165,7 @@ def doubled(spec):
 def test_errors_skip_mirror_sectors(n, visited):
     plan = tl.suzuki_plan(6, 3)
     lab = tl.ErrorLab(doubled(tl.build_mg(n)))
-    assert not lab.spin_invariant
+    assert not spin_projector_terms(lab.spec)
     assert [s.sign for s in lab.sectors] == [0] * 3 + [1, -1] * (n % 2 == 0) + [0] * 3
     values = lab.errors(plan, 0.2, (1.0, 3.0, math.inf))
     # palindromic plans only step between neighbouring groups
@@ -402,23 +403,42 @@ def test_low_column_basis_spans_the_low_energy_subspace(lab_cache):
 
 # ----------------------------------------------------- memory admission
 
-def test_lab_bytes_counts_dense_matrices():
-    # dim^2 (s (2 Gamma + Gamma (Gamma - 1)/2 + 2) + 16 * 4): real matrices at
-    # s = 8 bytes per entry, complex ones at 16; the four complex blocks stay
-    aklt, mg = tl.build_aklt(4), tl.build_mg(6)
-    assert lab_bytes(aklt) == 81 ** 2 * (8 * (4 + 1 + 2) + 16 * 4)
-    assert lab_bytes(mg) == 64 ** 2 * (8 * (6 + 3 + 2) + 16 * 4)
+def test_lab_bytes_counts_the_listing():
+    # s (the largest assembly (Gamma + 1)(n^2 + its halves' squares) + H's
+    # eigenvectors on every sector + (Gamma + Gamma (Gamma - 1)/2) blocks per
+    # visited sector) + 16 * 4 (the largest visited sector)^2 + the floor.
+    # AKLT N=4: total-S^z sectors of 1, 4, 10, 16, 19, 16, 10, 4, 1 states; 19
+    # splits into halves of 10 and 9, the only sector visited (Gamma = 2)
+    aklt = tl.build_aklt(4)
+    assert [(rows.size, sign, seen) for rows, sign, seen in sector_listing(aklt)] == [
+        (1, 0, False), (4, 0, False), (10, 0, False), (16, 0, False), (19, 1, True),
+        (19, -1, True), (16, 0, False), (10, 0, False), (4, 0, False), (1, 0, False)]
+    halves = 10 ** 2 + 9 ** 2
+    assert lab_bytes(aklt, sector_listing(aklt)) == LAB_FLOOR_BYTES + 8 * (
+        3 * (19 ** 2 + halves) + 2 * (1 + 4 ** 2 + 10 ** 2 + 16 ** 2) + halves
+        + 3 * halves) + 16 * 4 * 10 ** 2
+    # MG N=6 (Gamma = 3): sectors of 1, 6, 15, 20, 15, 6, 1 states, 20 in halves of 10
+    mg = tl.build_mg(6)
+    halves = 2 * 10 ** 2
+    assert lab_bytes(mg, sector_listing(mg)) == LAB_FLOOR_BYTES + 8 * (
+        4 * (20 ** 2 + halves) + 2 * (1 + 6 ** 2 + 15 ** 2) + halves
+        + 6 * halves) + 16 * 4 * 10 ** 2
+    # a complex spec that conserves only the parity and is not flip-invariant:
+    # two whole sectors of 4 states, both visited, 16 bytes per entry
     y_term = tl.LocalTerm((0, 1), np.kron(lattice.PAULI_Y, lattice.PAULI_Y) + np.eye(4))
     complex_term = tl.LocalTerm((1, 2), np.kron(lattice.PAULI_X, lattice.PAULI_Y) + np.eye(4))
     complex_spec = tl.HamiltonianSpec(tl.LatticeSpec(3, 2), (y_term, complex_term),
                                       (1, 2), 2)
     assert complex_spec.dtype == np.complex128
-    assert lab_bytes(complex_spec) == 8 ** 2 * (16 * (4 + 1 + 2) + 16 * 4)
+    listing = sector_listing(complex_spec)
+    assert [(rows.size, sign, seen) for rows, sign, seen in listing] == [(4, 0, True)] * 2
+    assert lab_bytes(complex_spec, listing) == LAB_FLOOR_BYTES + 16 * (
+        3 * 4 ** 2 + 2 * 4 ** 2 + 3 * 2 * 4 ** 2) + 16 * 4 * 4 ** 2
 
 
 def test_error_lab_refuses_before_assembly(monkeypatch):
     spec = tl.build_aklt(4)
-    need = lab_bytes(spec)
+    need = lab_bytes(spec, sector_listing(spec))
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the memory check")
@@ -432,31 +452,55 @@ def test_error_lab_refuses_before_assembly(monkeypatch):
     assert sum(sector.size for sector in tl.ErrorLab(spec).sectors) == 81
 
 
+def test_dense_assembly_refused_where_the_sector_lab_fits(monkeypatch):
+    # AKLT N=7 (dim 2187): H and two groups on every basis state need
+    # 3 * 8 * 2187^2 bytes, one embedded term 16 * 2187^2, and the lab far less
+    spec = tl.build_aklt(7)
+    need = lab_bytes(spec, sector_listing(spec))
+    assert need < 16 * 2187 ** 2
+    monkeypatch.setattr(lattice, "physical_memory", lambda: need)
+    with pytest.raises(ValueError, match=f"needs {3 * 8 * 2187 ** 2} bytes, more than the {need}"):
+        tl.assemble(spec)
+    with pytest.raises(ValueError, match=f"needs {16 * 2187 ** 2} bytes, more than the {need}"):
+        tl.embed(spec.terms[0], spec.lattice)
+    lab = tl.ErrorLab(spec)
+    assert lab.errors(tl.suzuki_plan(2, 2), 0.1, (1.0,))[0] > 0
+
+
 RSS_PROBE = r"""
-import trotterlab as tl
+import sys
 from trotterlab import cli
-from trotterlab.errors import lab_bytes
+from trotterlab.errors import lab_bytes, sector_listing
 
 def peak_rss():
     with open("/proc/self/status") as status:
         return next(1024 * int(line.split()[1]) for line in status
                     if line.startswith("VmHWM:"))
 
-config = cli.parse_sweep_config("model = mg\nn = 9\np = 4\nt = 0.1\ndelta = 1.0, inf")
+config = cli.parse_sweep_config(sys.argv[1])
 before = peak_rss()
 cli.run_sweep(config)
-print(peak_rss() - before, lab_bytes(tl.build_mg(9)))
+rise = peak_rss() - before
+spec = cli._build_model(config.model, config.n_list[0], config.nu, config.j0)
+print(rise, lab_bytes(spec, sector_listing(spec)))
 """
+# one chain size each, with and without a full error (inf)
+RSS_CONFIGS = ["model = mg\nn = 9\np = 4\nt = 0.1\ndelta = 1.0, inf"] + [
+    f"model = {model}\nn = {n}\np = 4\nt = 0.1\ndelta = {deltas}"
+    for model, n, low in (("mg", 12, 1.0), ("aklt", 8, 1.0), ("lr_heisenberg", 10, 12.0))
+    for deltas in (low, f"{low}, inf")]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_lab_bytes_covers_measured_peak():
-    # A fresh process, so the peak RSS rise is this sweep's alone (MG N=9, dim 512).
-    # VmHWM is the ru_maxrss of the process's own address space: ru_maxrss itself
-    # starts at the parent's peak in a child started from a large process.
+    # A fresh process per config, so the peak RSS rise is its sweep's alone, and
+    # the estimate stays 5% above it.  VmHWM is the ru_maxrss of the process's
+    # own address space: ru_maxrss itself starts at the parent's peak in a child
+    # started from a large process.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(tl.__file__)), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", RSS_PROBE], capture_output=True,
-                         text=True, check=True, env=env, timeout=60).stdout
-    rise, estimate = map(int, out.split())
-    assert 0 < rise <= estimate
+    for config in RSS_CONFIGS:
+        out = subprocess.run([sys.executable, "-c", RSS_PROBE, config], capture_output=True,
+                             text=True, check=True, env=env, timeout=120).stdout
+        rise, estimate = map(int, out.split())
+        assert 0 < 1.05 * rise <= estimate, config

@@ -34,7 +34,6 @@ def test_cycle_count_values():
 def test_first_order_stages():
     plan = tl.suzuki_plan(1, 2)
     assert plan.stages == ((1, 1.0), (2, 1.0))
-    assert plan.cycles == 1
 
 
 def test_second_order_palindrome():

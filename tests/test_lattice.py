@@ -295,20 +295,19 @@ def test_local_term_block_immutable():
 
 
 def test_dimension_cap(monkeypatch):
-    # a lattice is refused when one dense dim x dim complex matrix exceeds memory
+    # a lattice is refused only when its dimension reaches 2^64, whatever the
+    # memory: what a run allocates is checked where it is allocated
     text = tl.spec_to_json(tl.build_aklt(7))
     monkeypatch.setattr(lattice, "physical_memory", lambda: 16 * 3 ** 12)
-    assert LatticeSpec(6, 3).hilbert_dim == 729
-    assert tl.build_aklt(6).lattice.hilbert_dim == 729
-    refused = f"needs {16 * 3 ** 14} bytes, more than the {16 * 3 ** 12} bytes"
-    for build in (lambda: LatticeSpec(7, 3), lambda: tl.build_aklt(7),
-                  lambda: tl.spec_from_json(text)):
+    assert LatticeSpec(7, 3).hilbert_dim == 3 ** 7
+    assert tl.build_aklt(7).lattice.hilbert_dim == 3 ** 7
+    assert tl.spec_from_json(text).lattice.hilbert_dim == 3 ** 7
+    assert LatticeSpec(40, 3).hilbert_dim == 3 ** 40 < 2 ** 64
+    assert LatticeSpec(63, 2).hilbert_dim == 2 ** 63
+    refused = f">= 2\\^64 states need >= 2\\^67 bytes, more than the {16 * 3 ** 12} bytes"
+    for sites, local_dim in ((41, 3), (64, 2), (32, 4)):
         with pytest.raises(ValueError, match=refused):
-            build()
-    for build in (tl.build_mg, lambda n: tl.build_long_range_heisenberg(n, 2.0)):
-        build(9)
-        with pytest.raises(ValueError, match="bytes of physical memory"):
-            build(10)
+            LatticeSpec(sites, local_dim)
 
 
 def test_lattice_spec_rejects_tiny():

@@ -45,6 +45,7 @@ MUTANTS = (
            "for label in range(charge.max() + 1):",
            "for label in range(1, charge.max() + 1):",   # basis state 0 is its own U(1) sector
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
+            "tests/test_errors.py::test_lab_bytes_counts_the_listing",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
     Mutant("detection-ignores-off-charge-entries", "src/trotterlab/operators.py",
            "return not block[np.not_equal.outer(local_charge, local_charge)].any()",
@@ -74,8 +75,8 @@ MUTANTS = (
            "sum(alpha for _, alpha in stages)", "next(stages)[1]",
            ("tests/test_formulas.py",)),
     Mutant("errors-skip-first-sector", "src/trotterlab/errors.py",
-           "for s, sector in enumerate(sectors):",
-           "for s, sector in enumerate(sectors[1:], start=1):",
+           "for s, sector in enumerate(self._visited):",
+           "for s, sector in enumerate(self._visited[1:], start=1):",
            ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
     Mutant("errors-keep-last-sector-norm", "src/trotterlab/errors.py",
            "norms = [max(norm, _matrix_norm(diff[:, :m]))",
@@ -114,8 +115,9 @@ MUTANTS = (
            ("tests/test_block_property.py::test_expectation_sum_matches_dense_oracle",)),
     Mutant("spin-route-takes-sector-zero", "src/trotterlab/errors.py",
            "(label == n * (d - 1) // 2)", "(label == 0)",
-           ("tests/test_block_property.py::"
-            "test_spin_invariant_errors_from_one_sector_match_dense_oracle",)),
+           ("tests/test_errors.py::test_lab_bytes_counts_the_listing",
+            "tests/test_block_property.py::"
+            "test_spin_invariant_errors_from_one_sector_match_dense_oracle")),
     Mutant("every-block-a-spin-projector", "src/trotterlab/operators.py",
            "if not any(np.array_equal(term.block, proj) for proj in projectors[k]):",
            "if False:",
@@ -133,10 +135,10 @@ MUTANTS = (
            "= self.sign * out[self.rows[:pairs]]", "= out[self.rows[:pairs]]",
            ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
     Mutant("mirror-skip-visits-larger-label", "src/trotterlab/errors.py",
-           "else label <= image:", "else label >= image:",
+           "else label <= image\n", "else label >= image\n",
            ("tests/test_errors.py::test_errors_skip_mirror_sectors",)),
     Mutant("mirror-skip-drops-self-mapped-sector", "src/trotterlab/errors.py",
-           "else label <= image:", "else label < image:",
+           "else label <= image\n", "else label < image\n",
            ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
     Mutant("every-spec-flip-invariant", "src/trotterlab/operators.py",
            "return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)",
@@ -150,6 +152,21 @@ MUTANTS = (
     Mutant("sector-assembly-skips-zero-check", "src/trotterlab/embedding.py",
            "if values[..., ~inside].any():", "if False:",
            ("tests/test_operators.py::test_sector_assembly_refuses_rows_that_leak",)),
+    Mutant("lab-bytes-drops-the-assembly", "src/trotterlab/errors.py",
+           "(gamma + 1) * assembly + sum(squares)", "sum(squares)",
+           ("tests/test_errors.py::test_lab_bytes_counts_the_listing",
+            "tests/test_errors.py::test_lab_bytes_covers_measured_peak")),
+    Mutant("sweep-admits-each-lab-after-the-previous-ran", "src/trotterlab/cli.py",
+           "    labs = _admit(config)\n"
+           "    # one lab at a time, each dropped once its rows are done\n"
+           "    rows = sorted((row for n in config.n_list "
+           "for row in _task_rows(config, n, labs.pop(n))),\n",
+           "    rows = sorted((row for n in config.n_list for row in "
+           "_task_rows(config, n, _admit(replace(config, n_list=(n,)))[n])),\n",
+           ("tests/test_cli.py::test_sweep_rejects_before_any_lab",)),
+    Mutant("sweep-keeps-every-lab", "src/trotterlab/cli.py",
+           "_task_rows(config, n, labs.pop(n))", "_task_rows(config, n, labs[n])",
+           ("tests/test_cli.py::test_sweep_drops_each_lab_once_its_rows_are_done",)),
 )
 
 
