@@ -20,16 +20,18 @@ projected or full; ``errors`` then skips the other sectors.
 When every term block equals its index reversal (``flip_invariant``), each
 term commutes with the spin flip F, the map i -> dim - 1 - i on basis
 indices, which flips every digit s -> d - 1 - s.  F maps the sector of
-digit sum c to that of N(d - 1) - c (for the parity charge, it swaps the two
-labels when N(d - 1) is odd).  A sector whose image is another sector is a
-mirror sector with the same norms, and ``errors`` visits only the smaller
-label of each mirror pair.  A sector that F maps to itself splits into two
-halves: its states a < F a pair with their images, and for odd d the
-all-middle-digit state is F's fixed point f.  On (e_a +- e_Fa)/sqrt(2) and
-e_f, one assembly of the sector folds into the + half [[M_pp + M_pF,
-sqrt(2) M_pf], [sqrt(2) M_fp, M_ff]] and the - half M_pp - M_pF (p the
-pairs, pF their images), with exactly 0 between them, so each half is a
-block of its own (Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
+digit sum c to that of N(d - 1) - c (for the parity charge, it swaps the
+two labels when N(d - 1) is odd).  A sector that F maps onto a smaller
+label is a mirror sector, and it reads its image through F: it has the
+image's spectra, and its vectors are the image's with F applied, so it is
+never assembled or diagonalised.  Its norms are its image's, so ``errors``
+skips it.  A sector that F maps to itself splits into two halves: its
+states a < F a pair with their images, and for odd d the all-middle-digit
+state is F's fixed point f.  On (e_a +- e_Fa)/sqrt(2) and e_f, one
+assembly of the sector folds into the + half [[M_pp + M_pF, sqrt(2) M_pf],
+[sqrt(2) M_fp, M_ff]] and the - half M_pp - M_pF (p the pairs, pF their
+images), with exactly 0 between them, so each half is a block of its own
+(Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
 
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .embedding import lift_block
-from .formulas import FormulaPlan, apply_plan, check_stage_labels
+from .formulas import FormulaPlan, apply_plan
 from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
 from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, flip_invariant,
                         low_energy_mask, spin_projector_terms)
@@ -63,50 +65,49 @@ LAB_COMPLEX_BLOCKS = 4
 LAB_FLOOR_BYTES = 8 * 2 ** 20
 
 
-def _half_size(n: int, sign: int) -> int:
-    """Coordinates of a sector of n states, or of its flip half ``sign`` (+1 or -1)."""
-    return (n + (sign > 0)) // 2 if sign else n
+def sector_listing(spec: HamiltonianSpec) -> list[Sector]:
+    """The unbuilt ``Sector``s of an ``ErrorLab`` on ``spec``, from dim-length arrays only.
 
-
-def sector_listing(spec: HamiltonianSpec) -> list[tuple[np.ndarray, int, bool]]:
-    """(rows, sign, visited) per ``Sector`` of an ``ErrorLab``, from dim-length arrays only.
-
-    ``rows`` are the sorted basis states of one label of ``conserved_charge``;
-    ``sign`` is 0 for the whole sector, or +1 then -1 for its halves on
-    (e_a +- e_Fa)/sqrt(2) when F maps it to itself.  ``visited`` marks the
-    sectors whose largest norms are the errors: the smallest |S^z| for a
-    spin-invariant spec, else all but the larger label of each mirror pair.
+    One per label of ``conserved_charge`` in label order, or its + then -
+    half when F maps it to itself.  ``visited`` marks the sectors whose
+    largest norms are the errors: the smallest |S^z| for a spin-invariant
+    spec, else every sector but the mirrors.
     """
     spin_invariant = spin_projector_terms(spec)
     charge = conserved_charge(spec)
     flip = flip_invariant(spec)
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
     assert not spin_invariant or charge.max() == n * (d - 1), "the charge must be the digit sum"
-    listing = []
+    sectors: list[Sector] = []
     # every label from 0 to the largest occurs; np.unique would import numpy.ma
     for label in range(charge.max() + 1):
         rows = np.flatnonzero(charge == label)
         image = charge[-1 - rows[0]] if flip else label   # the label of F's image
         visited = (label == n * (d - 1) // 2) if spin_invariant else label <= image
+        if image < label:   # a mirror: every label up to its image is whole, one sector each
+            sectors.append(Sector(spec, rows, 0, visited, {}, sectors[image]))
+            continue
+        blocks: dict = {}   # the halves of one charge sector share one assembly
         signs = (1, -1) if flip and image == label else (0,)
-        listing += [(rows, sign, visited) for sign in signs]
-    return listing
+        sectors += [Sector(spec, rows, sign, visited, blocks) for sign in signs]
+    return sectors
 
 
-def lab_bytes(spec: HamiltonianSpec, listing: list) -> int:
-    """Peak bytes of an ``ErrorLab`` on the sectors ``listing`` of ``sector_listing``.
+def lab_bytes(spec: HamiltonianSpec, sectors: list[Sector]) -> int:
+    """Peak bytes of an ``ErrorLab`` on the ``sectors`` of ``sector_listing``.
 
     At s bytes per entry of ``spec.dtype``: Gamma + 1 blocks on the largest
     charge sector's n states, n^2 entries each plus (n^2 + 1) // 2 for their
-    folded halves; H's eigenvectors on every sector; Gamma group eigenvectors
-    and Gamma (Gamma - 1)/2 transitions per visited sector; ``LAB_COMPLEX_BLOCKS``
-    complex blocks of the largest visited sector; ``LAB_FLOOR_BYTES``.
+    folded halves; H's eigenvectors on every sector but the mirrors; Gamma
+    group eigenvectors and Gamma (Gamma - 1)/2 transitions per visited
+    sector; ``LAB_COMPLEX_BLOCKS`` complex blocks of the largest visited
+    sector; ``LAB_FLOOR_BYTES``.
     """
     gamma, s = spec.gamma_count, spec.dtype.itemsize
-    squares = [_half_size(rows.size, sign) ** 2 for rows, sign, _ in listing]
-    visited = [square for (_, _, seen), square in zip(listing, squares) if seen]
-    assembly = max(rows.size ** 2 + (sign != 0) * (rows.size ** 2 + 1) // 2
-                   for rows, sign, _ in listing)
+    built = [sector for sector in sectors if sector.image is None]
+    squares = [sector.size ** 2 for sector in built]
+    visited = [sector.size ** 2 for sector in sectors if sector.visited]
+    assembly = max(x.rows.size ** 2 + (x.sign != 0) * (x.rows.size ** 2 + 1) // 2 for x in built)
     return (s * ((gamma + 1) * assembly + sum(squares) + gamma * (gamma + 1) // 2 * sum(visited))
             + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS * max(visited) + LAB_FLOOR_BYTES)
 
@@ -121,7 +122,7 @@ def _fold(block: np.ndarray, sign: int) -> np.ndarray:
     """
     if not sign:
         return block
-    pairs, size = len(block) // 2, _half_size(len(block), sign)
+    pairs, size = len(block) // 2, (len(block) + (sign > 0)) // 2
     half = block[:size, :size].copy()
     mirror = block[:pairs, ::-1][:, :pairs]   # M[a, F b] on the pairs
     if sign > 0:
@@ -134,20 +135,28 @@ def _fold(block: np.ndarray, sign: int) -> np.ndarray:
 
 
 class Sector:
-    """A block of H and the groups on the ``rows`` and ``sign`` of a ``sector_listing`` entry.
+    """H and the groups on the basis states ``rows`` of one charge sector, or of its flip half.
 
-    ``size`` counts its coordinates.  On first use a sector takes the
-    ``eigh`` of H (eigenvalues ascending) and of each group on them, and
-    ``transitions`` is the cache that ``apply_plan`` fills for it.  The halves
-    of one charge sector share ``blocks``: one ``assemble(spec, rows)`` folds
-    into both, and each block is freed once its ``eigh`` is taken.
+    ``sign`` is 0 for the whole sector, or +1 or -1 for its half on
+    (e_a +- e_Fa)/sqrt(2); ``size`` counts its coordinates.  On first use a
+    sector takes the ``eigh`` of H (eigenvalues ascending) and of each group
+    on them, and ``transitions`` is the cache that ``apply_plan`` fills for
+    it.  The halves of one charge sector share ``blocks``: one
+    ``assemble(spec, rows)`` folds into both, and each block is freed once
+    its ``eigh`` is taken.  A sector that is not ``visited`` is whole and
+    keeps no block it was not asked for.  A mirror sector, one that F maps
+    onto its ``image``, builds nothing: it has its image's spectra, and it
+    lifts through F.
     """
 
-    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int, blocks: dict):
+    def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int, visited: bool,
+                 blocks: dict, image: Sector | None = None):
         self.spec = spec
         self.rows = rows
         self.sign = sign
-        self.size = _half_size(rows.size, sign)
+        self.visited = visited
+        self.image = image
+        self.size = (rows.size + (sign > 0)) // 2 if sign else rows.size
         self.transitions: dict = {}
         self._blocks = blocks
 
@@ -157,12 +166,15 @@ class Sector:
             for sign in (1, -1) if self.sign else (0,):
                 self._blocks[sign] = {"spectrum": _fold(hamiltonian, sign),
                                       "part_spectra": [_fold(part, sign) for part in parts]}
-        return self._blocks[self.sign].pop(name)
+        entry = self._blocks[self.sign] if self.visited else self._blocks.pop(self.sign)
+        return entry.pop(name)
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """The sector's coordinate columns ``vectors`` as dim x m columns of the full
         basis: each coordinate is e_a for the whole sector, (e_a +- e_Fa)/sqrt(2)
-        for a pair, e_f for F's fixed point."""
+        for a pair, e_f for F's fixed point, and F of its image's for a mirror."""
+        if self.image is not None:
+            return self.image.lift(vectors)[::-1]   # F e_a = e_(dim - 1 - a)
         out = np.zeros((self.spec.lattice.hilbert_dim, vectors.shape[1]), vectors.dtype)
         if not self.sign:
             out[self.rows] = vectors
@@ -175,11 +187,12 @@ class Sector:
 
     @cached_property
     def spectrum(self):
-        return eigh(self._take("spectrum"))
+        return eigh(self._take("spectrum")) if self.image is None else self.image.spectrum
 
     @cached_property
     def part_spectra(self) -> tuple:
-        return tuple(eigh(part) for part in self._take("part_spectra"))
+        return (tuple(eigh(part) for part in self._take("part_spectra"))
+                if self.image is None else self.image.part_spectra)
 
 
 def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:
@@ -199,21 +212,19 @@ def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:
 class ErrorLab:
     """Per-sector spectra plus error evaluators for one Hamiltonian spec.
 
-    ``sectors`` holds one ``Sector`` per entry of ``sector_listing``; their
-    lifts together are an orthonormal basis of the whole space.  A lab whose
-    ``lab_bytes`` exceed physical memory is refused before any is built.
+    ``sectors`` is the list of ``sector_listing``; their lifts together are
+    an orthonormal basis of the whole space.  A lab whose ``lab_bytes``
+    exceed physical memory is refused before any sector is built.
     Everything is float64 when every term block is real, complex128 otherwise.
     """
 
     def __init__(self, spec: HamiltonianSpec):
-        listing = sector_listing(spec)
-        require_memory(lab_bytes(spec, listing),
+        sectors = sector_listing(spec)
+        require_memory(lab_bytes(spec, sectors),
                        f"ErrorLab on {spec.model_tag} N={spec.lattice.num_sites}")
         self.spec = spec
-        shared: dict = {}   # the halves of one charge sector share one assembly
-        self.sectors = [Sector(spec, rows, sign, shared.setdefault(int(rows[0]), {}))
-                        for rows, sign, _ in listing]
-        self._visited = [sector for sector, (_, _, seen) in zip(self.sectors, listing) if seen]
+        self.sectors = sectors
+        self._visited = [sector for sector in sectors if sector.visited]
 
     @property
     def max_energy(self) -> float:
@@ -241,7 +252,6 @@ class ErrorLab:
         """
         if steps < 1:
             raise ValueError("need at least one step")
-        check_stage_labels(plan)   # refused even when every sector is skipped
         counts = [_column_counts(self._visited, delta) for delta in deltas]
         norms = [0.0] * len(deltas)
         # the plan repeated steps times at t/steps

@@ -53,11 +53,19 @@ def cycle_count(order_p: int) -> int:
 
 @dataclass(frozen=True)
 class FormulaPlan:
-    """Stage list in applied-first order; see the module docstring."""
+    """Stage list in applied-first order; see the module docstring.
+
+    A stage label outside 1..Gamma is refused here, so no plan carries one.
+    """
 
     order_p: int
     gamma_count: int
     stages: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        for gamma, _ in self.stages:
+            if not 1 <= gamma <= self.gamma_count:
+                raise ValueError(f"stage label {gamma} outside 1..{self.gamma_count}")
 
 
 def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
@@ -81,19 +89,11 @@ def suzuki_plan(order_p: int, gamma_count: int) -> FormulaPlan:
     return plan
 
 
-def check_stage_labels(plan: FormulaPlan) -> None:
-    """Raise unless every stage label is a group of the plan, 1..Gamma."""
-    for gamma, _ in plan.stages:
-        if not 1 <= gamma <= plan.gamma_count:
-            raise ValueError(f"stage label {gamma} outside 1..{plan.gamma_count}")
-
-
 def validate_plan(plan: FormulaPlan) -> None:
     """Raise unless stage count, labels, coefficient sums and sizes all check out."""
     expected = cycle_count(plan.order_p) * plan.gamma_count
     if len(plan.stages) != expected:
         raise ValueError(f"expected {expected} stages, plan has {len(plan.stages)}")
-    check_stage_labels(plan)
     sums = dict.fromkeys(range(1, plan.gamma_count + 1), 0.0)
     for gamma, alpha in plan.stages:
         if abs(alpha) > 1.0 + 1e-12:
@@ -111,11 +111,10 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
     The block moves into the eigenbasis V_gamma of the first stage's group;
     a stage multiplies by exp(-i alpha t lambda_gamma), a change of group by
     the transition V_b^dag V_a, and the last group's V maps the block back.
-    Consecutive stages of one group merge; a stage label outside 1..Gamma is
-    refused (the coefficient sums are not checked, see ``validate_plan``).
-    ``transitions`` caches
-    V_a^dag V_b for a < b (the other direction is its adjoint); pass the
-    same dict to reuse them across calls.
+    Consecutive stages of one group merge (the coefficient sums are not
+    checked, see ``validate_plan``).  ``transitions`` caches V_a^dag V_b for
+    a < b (the other direction is its adjoint); pass the same dict to reuse
+    them across calls.
     """
     if len(parts_spectra) != plan.gamma_count:
         raise ValueError(
@@ -125,7 +124,6 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
         raise ValueError("group spectra have inconsistent dimensions")
     if np.ndim(block) != 2 or block.shape[0] != dim:
         raise ValueError(f"block must have shape ({dim}, m), got {np.shape(block)}")
-    check_stage_labels(plan)
     if transitions is None:
         transitions = {}
     runs = [(gamma, sum(alpha for _, alpha in stages))

@@ -330,12 +330,7 @@ class ValidationReport:
 
     passed: bool
     failures: tuple[str, ...]
-    num_sites: int
-    locality: int
-    gamma_count: int
-    extensiveness: float
     term_psd_margins: tuple[float, ...]
-    group_commutator_norms: dict[int, float]
 
 
 def validate(spec: HamiltonianSpec) -> ValidationReport:
@@ -348,11 +343,9 @@ def validate(spec: HamiltonianSpec) -> ValidationReport:
         if margin < -PSD_MARGIN_FACTOR * term.norm:
             failures.append(
                 f"term {i} on {term.support} is not PSD (smallest eigenvalue {margin:.3e})")
-    group_norms: dict[int, float] = {}
     d = spec.lattice.local_dim
     for gamma in range(1, spec.gamma_count + 1):
         members = [(i, t) for i, t in enumerate(spec.terms) if spec.partition[i] == gamma]
-        worst = 0.0
         for a_idx in range(len(members)):
             for b_idx in range(a_idx + 1, len(members)):
                 i, a = members[a_idx]
@@ -360,21 +353,14 @@ def validate(spec: HamiltonianSpec) -> ValidationReport:
                 if not set(a.support) & set(b.support):
                     continue
                 norm = _pair_commutator_norm(a, b, d)
-                worst = max(worst, norm)
                 if norm > COMMUTATION_FACTOR * a.norm * b.norm:
                     failures.append(
                         f"group {gamma}: terms {i} and {j} do not commute "
                         f"(commutator norm {norm:.3e})")
-        group_norms[gamma] = worst
     return ValidationReport(
         passed=not failures,
         failures=tuple(failures),
-        num_sites=spec.lattice.num_sites,
-        locality=spec.locality_k,
-        gamma_count=spec.gamma_count,
-        extensiveness=extensiveness(spec),
         term_psd_margins=tuple(margins),
-        group_commutator_norms=group_norms,
     )
 
 

@@ -48,30 +48,23 @@ def _commuting_chain(num_sites: int) -> HamiltonianSpec:
     return HamiltonianSpec(lattice, terms, partition, locality_k=2, model_tag="ising_zz")
 
 
-def _built_in_specs() -> list[HamiltonianSpec]:
-    specs = [build_aklt(n) for n in AKLT_SIZES]
-    specs += [build_mg(n) for n in MG_SIZES]
-    specs.append(build_long_range_heisenberg(LR_SIZE, LR_NU))
-    return specs
-
-
 def run_verify(seed: int = 0) -> list[CheckResult]:
     """Run the whole battery; deterministic for a fixed seed."""
+    from functools import cache
+
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-    specs = _built_in_specs()
-    labs = {(s.model_tag, s.lattice.num_sites): ErrorLab(s) for s in specs}
+    builders = {"aklt": build_aklt, "mg": build_mg,
+                "lr_heisenberg": lambda n: build_long_range_heisenberg(n, LR_NU)}
 
+    @cache
     def lab_for(tag: str, n: int) -> ErrorLab:
-        # sizes outside the standard battery are built on demand
-        key = (tag, n)
-        if key not in labs:
-            builders = {"aklt": build_aklt, "mg": build_mg}
-            labs[key] = ErrorLab(builders[tag](n))
-        return labs[key]
+        return ErrorLab(builders[tag](n))
 
-    results += _lattice_checks(specs, rng)
-    results += _operator_checks(specs, labs)
+    specs = [lab_for(tag, n).spec for tag, sizes in
+             (("aklt", AKLT_SIZES), ("mg", MG_SIZES), ("lr_heisenberg", (LR_SIZE,)))
+             for n in sizes]
+    results = _lattice_checks(specs, rng)
+    results += _operator_checks(specs, lab_for)
     results += _formula_checks(lab_for)
     results += _error_checks(lab_for, rng)
     results += _bound_checks(lab_for)
@@ -125,9 +118,9 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
     return out
 
 
-def _operator_checks(specs, labs) -> list[CheckResult]:
+def _operator_checks(specs, lab_for) -> list[CheckResult]:
     out = []
-    aklt4 = labs[("aklt", 4)]
+    aklt4 = lab_for("aklt", 4)
 
     worst = 0.0
     for t in (0.1, 1.0):
@@ -154,7 +147,7 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
 
     worst = -math.inf
     for spec in specs:
-        lab = labs[(spec.model_tag, spec.lattice.num_sites)]
+        lab = lab_for(spec.model_tag, spec.lattice.num_sites)
         cap = spec.lattice.num_sites * extensiveness(spec)
         worst = max(worst, lab.max_energy - cap)
     out.append(CheckResult("op-norm-cap", worst <= 1e-9, worst, 1e-9))
@@ -162,7 +155,7 @@ def _operator_checks(specs, labs) -> list[CheckResult]:
     dev = 0.0
     resid = 0.0
     for spec in specs:
-        lab = labs[(spec.model_tag, spec.lattice.num_sites)]
+        lab = lab_for(spec.model_tag, spec.lattice.num_sites)
         # every battery H is PSD, so its largest |eigenvalue| is max_energy
         eig_norm = lab.max_energy
         # what is left of H once every sector's rebuilt block is taken away,

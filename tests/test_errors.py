@@ -40,16 +40,24 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
     assert sizes == assembled == []   # a sector builds its spectra on first use
     for sector in lab.sectors:
         sector.spectrum, sector.part_spectra
-    # the 9 total-S^z sectors of four spin-1 sites, each for H and then each group;
-    # the flip maps S^z = 0 (19 states, one fixed point) to itself: halves of 10 and 9
+    # the 9 total-S^z sectors of four spin-1 sites; the flip maps S^z = 0 (19
+    # states, one fixed point) to itself, in halves of 10 and 9, and each
+    # S^z > 0 onto -S^z, whose spectra it reads
     assert [(s.size, s.sign) for s in lab.sectors] == [
         (1, 0), (4, 0), (10, 0), (16, 0), (10, 1), (9, -1), (16, 0), (10, 0), (4, 0), (1, 0)]
-    assert sizes == [s.size for s in lab.sectors for _ in range(3)]
-    assert assembled == [1, 4, 10, 16, 19, 16, 10, 4, 1]   # the halves share one assembly
+    mirrors = lab.sectors[6:]
+    assert [s.image for s in mirrors] == lab.sectors[3::-1]
+    assert all(s.spectrum is s.image.spectrum and s.part_spectra is s.image.part_spectra
+               for s in mirrors)
+    # H and then each group on every other sector; one that is not visited
+    # keeps no block, so asked for its groups after H it assembles again, and
+    # the halves share one assembly
+    assert sizes == [s.size for s in lab.sectors[:6] for _ in range(3)]
+    assert assembled == [1, 1, 4, 4, 10, 10, 16, 16, 19]
     for sector in lab.sectors:   # cached, and the assembled blocks are freed
         sector.spectrum, sector.part_spectra
         assert not any(sector._blocks.values())
-    assert len(sizes) == 30
+    assert len(sizes) == 18
     # the lifts of all sectors are an orthonormal basis of the whole space
     lifts = np.hstack([sector.lift(np.eye(sector.size)) for sector in lab.sectors])
     assert np.abs(lifts.T @ lifts - np.eye(81)).max() <= 1e-15
@@ -173,6 +181,49 @@ def test_errors_skip_mirror_sectors(n, visited):
     assert not any(s.transitions for s, seen in zip(lab.sectors, visited) if not seen)
     assert values == pytest.approx(oracle_dense.errors(lab, plan, 0.2, (1.0, 3.0, math.inf)),
                                    rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    # digit sums 3, 4, 5 mirror 2, 1, 0
+    doubled(tl.build_mg(5)),
+    # N (d - 1) = 7 is odd, so the flip swaps the two parity labels
+    tl.build_long_range_heisenberg(7, 2.0),
+], ids=["doubled-mg5", "lr7"])
+def test_mirror_sectors_read_their_image(spec, monkeypatch):
+    assembled, sizes = [], []
+    real_eigh, real_assemble = errors.eigh, errors.assemble
+    monkeypatch.setattr(errors, "eigh", lambda m: (sizes.append(len(m)), real_eigh(m))[1])
+    monkeypatch.setattr(errors, "assemble",
+                        lambda which, rows: (assembled.append(rows), real_assemble(which, rows))[1])
+    lab = tl.ErrorLab(spec)
+    built = [s for s in lab.sectors if s.image is None]
+    assert len(built) < len(lab.sectors)
+    top = lab.max_energy
+    op = tl.embed(spec.terms[0], spec.lattice)
+    low = oracle_dense.projector(lab, 0.2 * top)
+    high = np.eye(len(op)) - oracle_dense.projector(lab, 0.5 * top)
+    assert lab.leakage_norm(op, 0.2 * top, 0.5 * top) == pytest.approx(
+        np.linalg.norm(high @ op @ low, 2), rel=0, abs=1e-12)
+    for fraction in (0.1, 0.4, 1.0):
+        basis = lab.low_column_basis(fraction * top)
+        assert np.abs(basis @ basis.conj().T
+                      - oracle_dense.projector(lab, fraction * top)).max() <= 1e-12
+    # one assembly and one eigh of H per sector that is not a mirror
+    assert [rows.tolist() for rows in assembled] == [s.rows.tolist() for s in built]
+    assert sizes == [s.size for s in built]
+
+
+def test_unvisited_sectors_keep_no_blocks():
+    lab = tl.ErrorLab(tl.build_mg(8))
+    lab.low_column_basis(1.0)
+    # only the visited S^z = 0 halves hold blocks: their groups, for the sweeps
+    assert [bool(s._blocks) for s in lab.sectors] == [s.visited for s in lab.sectors]
+    h, parts = oracle_dense.kron_assemble(lab.spec)
+    for sector in lab.sectors:
+        for matrix, (w, v) in zip((h, *parts), (sector.spectrum, *sector.part_spectra)):
+            u = sector.lift(v)
+            assert np.abs(u.T @ matrix @ u - np.diag(w)).max() <= 1e-12
+    assert not any(s._blocks.get(s.sign) for s in lab.sectors)
 
 
 def test_errors_skip_sectors_without_columns():
@@ -405,23 +456,27 @@ def test_low_column_basis_spans_the_low_energy_subspace(lab_cache):
 
 def test_lab_bytes_counts_the_listing():
     # s (the largest assembly (Gamma + 1)(n^2 + its halves' squares) + H's
-    # eigenvectors on every sector + (Gamma + Gamma (Gamma - 1)/2) blocks per
-    # visited sector) + 16 * 4 (the largest visited sector)^2 + the floor.
+    # eigenvectors on every sector but the mirrors + (Gamma + Gamma (Gamma - 1)/2)
+    # blocks per visited sector) + 16 * 4 (the largest visited sector)^2 + the floor.
     # AKLT N=4: total-S^z sectors of 1, 4, 10, 16, 19, 16, 10, 4, 1 states; 19
-    # splits into halves of 10 and 9, the only sector visited (Gamma = 2)
+    # splits into halves of 10 and 9, the only sector visited (Gamma = 2), and
+    # the last four mirror the first four
     aklt = tl.build_aklt(4)
-    assert [(rows.size, sign, seen) for rows, sign, seen in sector_listing(aklt)] == [
-        (1, 0, False), (4, 0, False), (10, 0, False), (16, 0, False), (19, 1, True),
-        (19, -1, True), (16, 0, False), (10, 0, False), (4, 0, False), (1, 0, False)]
+    listing = sector_listing(aklt)
+    assert [(s.rows.size, s.sign, s.size, s.visited, s.image is not None) for s in listing] == [
+        (1, 0, 1, False, False), (4, 0, 4, False, False), (10, 0, 10, False, False),
+        (16, 0, 16, False, False), (19, 1, 10, True, False), (19, -1, 9, True, False),
+        (16, 0, 16, False, True), (10, 0, 10, False, True), (4, 0, 4, False, True),
+        (1, 0, 1, False, True)]
     halves = 10 ** 2 + 9 ** 2
-    assert lab_bytes(aklt, sector_listing(aklt)) == LAB_FLOOR_BYTES + 8 * (
-        3 * (19 ** 2 + halves) + 2 * (1 + 4 ** 2 + 10 ** 2 + 16 ** 2) + halves
+    assert lab_bytes(aklt, listing) == LAB_FLOOR_BYTES + 8 * (
+        3 * (19 ** 2 + halves) + (1 + 4 ** 2 + 10 ** 2 + 16 ** 2) + halves
         + 3 * halves) + 16 * 4 * 10 ** 2
     # MG N=6 (Gamma = 3): sectors of 1, 6, 15, 20, 15, 6, 1 states, 20 in halves of 10
     mg = tl.build_mg(6)
     halves = 2 * 10 ** 2
     assert lab_bytes(mg, sector_listing(mg)) == LAB_FLOOR_BYTES + 8 * (
-        4 * (20 ** 2 + halves) + 2 * (1 + 6 ** 2 + 15 ** 2) + halves
+        4 * (20 ** 2 + halves) + (1 + 6 ** 2 + 15 ** 2) + halves
         + 6 * halves) + 16 * 4 * 10 ** 2
     # a complex spec that conserves only the parity and is not flip-invariant:
     # two whole sectors of 4 states, both visited, 16 bytes per entry
@@ -431,7 +486,7 @@ def test_lab_bytes_counts_the_listing():
                                       (1, 2), 2)
     assert complex_spec.dtype == np.complex128
     listing = sector_listing(complex_spec)
-    assert [(rows.size, sign, seen) for rows, sign, seen in listing] == [(4, 0, True)] * 2
+    assert [(s.rows.size, s.sign, s.visited, s.image) for s in listing] == [(4, 0, True, None)] * 2
     assert lab_bytes(complex_spec, listing) == LAB_FLOOR_BYTES + 16 * (
         3 * 4 ** 2 + 2 * 4 ** 2 + 3 * 2 * 4 ** 2) + 16 * 4 * 4 ** 2
 

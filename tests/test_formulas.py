@@ -71,9 +71,8 @@ def test_validate_plan_catches_tampering():
     truncated = FormulaPlan(2, 2, plan.stages[:-1])
     with pytest.raises(ValueError, match="stages"):
         tl.validate_plan(truncated)
-    bad_label = FormulaPlan(2, 2, ((1, 0.5), (3, 0.5), (3, 0.5), (1, 0.5)))
-    with pytest.raises(ValueError, match="label"):
-        tl.validate_plan(bad_label)
+    with pytest.raises(ValueError, match="label"):   # refused as the plan is built
+        tl.validate_plan(FormulaPlan(2, 2, ((1, 0.5), (3, 0.5), (3, 0.5), (1, 0.5))))
     bad_sum = FormulaPlan(2, 2, ((1, 0.5), (2, 0.5), (2, 0.5), (1, -0.5)))
     with pytest.raises(ValueError, match="sum"):
         tl.validate_plan(bad_sum)
@@ -121,17 +120,21 @@ def test_apply_plan_input_validation(aklt4):
 
 
 def test_apply_plan_refuses_bad_labels(mg4):
-    # label 0 used to index the last group's spectrum silently
+    # label 0 used to index the last group's spectrum silently; such a plan
+    # is now refused as it is built, before any of its callers can run it
     gamma = mg4.spec.gamma_count
     eye = np.eye(mg4.spec.lattice.hilbert_dim)
+
+    def bad_plan(bad):
+        return FormulaPlan(1, gamma, ((bad, 1.0), *((g, 1.0) for g in range(2, gamma + 1))))
+
     for bad in (0, gamma + 1):
-        plan = FormulaPlan(1, gamma, ((bad, 1.0), *((g, 1.0) for g in range(2, gamma + 1))))
         with pytest.raises(ValueError, match=f"stage label {bad} outside 1..{gamma}"):
-            tl.apply_plan(plan, oracle_dense.dense_spectra(mg4.spec)[1], 0.1, eye)
+            tl.apply_plan(bad_plan(bad), oracle_dense.dense_spectra(mg4.spec)[1], 0.1, eye)
         with pytest.raises(ValueError, match="stage label"):
-            mg4.full_error(plan, 0.1)
+            mg4.full_error(bad_plan(bad), 0.1)
         with pytest.raises(ValueError, match="stage label"):   # not one column below -1
-            mg4.projected_error(plan, 0.1, -1.0)
+            mg4.projected_error(bad_plan(bad), 0.1, -1.0)
 
 
 def test_error_halving_ratio(mg4):

@@ -51,12 +51,13 @@ MUTANTS = (
            "return not block[np.not_equal.outer(local_charge, local_charge)].any()",
            "return True",
            ("tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle",)),
-    Mutant("apply-plan-accepts-any-label", "src/trotterlab/formulas.py",
-           "        if not 1 <= gamma <= plan.gamma_count:\n"
-           "            raise ValueError(",
-           "        if False:\n"
-           "            raise ValueError(",
-           ("tests/test_formulas.py::test_apply_plan_refuses_bad_labels",)),
+    Mutant("plan-accepts-any-label", "src/trotterlab/formulas.py",
+           "            if not 1 <= gamma <= self.gamma_count:\n"
+           "                raise ValueError(",
+           "            if False:\n"
+           "                raise ValueError(",
+           ("tests/test_formulas.py::test_apply_plan_refuses_bad_labels",
+            "tests/test_formulas.py::test_validate_plan_catches_tampering")),
     Mutant("second-order-not-palindromic", "src/trotterlab/formulas.py",
            "stages = forward + forward[::-1]", "stages = forward + forward",
            ("tests/test_formulas.py",)),
@@ -140,15 +141,24 @@ MUTANTS = (
     Mutant("mirror-skip-drops-self-mapped-sector", "src/trotterlab/errors.py",
            "else label <= image\n", "else label < image\n",
            ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("mirror-lift-without-flip", "src/trotterlab/errors.py",
+           "return self.image.lift(vectors)[::-1]", "return self.image.lift(vectors)",
+           ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
+            "tests/test_errors.py::test_mirror_sectors_read_their_image")),
+    Mutant("mirror-builds-its-own-spectrum", "src/trotterlab/errors.py",
+           'eigh(self._take("spectrum")) if self.image is None else self.image.spectrum',
+           'eigh(self._take("spectrum"))',
+           ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
+            "tests/test_errors.py::test_mirror_sectors_read_their_image")),
+    Mutant("unvisited-sector-keeps-blocks", "src/trotterlab/errors.py",
+           "self._blocks[self.sign] if self.visited else self._blocks.pop(self.sign)",
+           "self._blocks[self.sign]",
+           ("tests/test_errors.py::test_unvisited_sectors_keep_no_blocks",)),
     Mutant("every-spec-flip-invariant", "src/trotterlab/operators.py",
            "return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)",
            "return True",
            ("tests/test_block_property.py::test_block_one_ulp_off_the_flip_does_not_qualify",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
-    Mutant("errors-skip-label-check", "src/trotterlab/errors.py",
-           "        check_stage_labels(plan)   # refused even when every sector is skipped\n",
-           "",
-           ("tests/test_formulas.py::test_apply_plan_refuses_bad_labels",)),
     Mutant("sector-assembly-skips-zero-check", "src/trotterlab/embedding.py",
            "if values[..., ~inside].any():", "if False:",
            ("tests/test_operators.py::test_sector_assembly_refuses_rows_that_leak",)),
