@@ -36,10 +36,14 @@ images), with exactly 0 between them, so each half is a block of its own
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
 a d^|U| x d^|U| block, stacks the blocks that share a union and reduces
-each batch of leaves as it is made: an unprojected leaf's norm is its
-block's, and a projected one contracts the block with the tensor axes U
-of the low-energy columns.  An expectation in a state psi is the 1 x 1
-block of the columns psi, so both sums are one walk.
+each batch of leaves as it is made, against every basis of the call: an
+unprojected leaf's norm is its block's, and a projected one contracts the
+block with the tensor axes U of the low-energy columns.  Each commutator
+is made once: [h_0, h_1] = -[h_1, h_0] bit for bit, so a pair of two
+support groups is made from the earlier one and counts twice, and one
+that is exactly 0 is dropped with all that would nest around it.  An
+expectation in a state psi is the 1 x 1 block of the columns psi, so both
+sums are one walk.
 """
 from __future__ import annotations
 
@@ -310,34 +314,36 @@ def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
     return op_norm * math.exp(-gap / (4.0 * locality * extensiveness_g))
 
 
-def _lift_group(group: list, sites: tuple[int, ...], local_dim: int) -> np.ndarray:
-    """Stack of the terms of ``group``, each lifted to the sorted ``sites``."""
-    return np.stack([lift_block(term.block, term.support, sites, local_dim) for term in group])
-
-
 def _commutators(groups: dict, local_dim: int, union: tuple[int, ...], stack: np.ndarray,
-                 lifts: dict):
-    """Yield (sites, [h, C] for each h of a group and C of ``stack``) per group meeting ``union``.
+                 weights: np.ndarray, lifts: dict, root: bool):
+    """Yield (sites, [h, C] for each h of a group and C of ``stack``, their weights) per
+    group meeting ``union``, less the commutators that are exactly 0.
 
-    ``stack`` holds commutators on the sorted sites ``union``; ``groups``
-    maps each sorted support to its terms.  A nested commutator vanishes
-    identically unless each new support meets the union of the previous
-    ones, so disjoint groups are pruned exactly.  Both sides are lifted to
-    the sorted union ``sites`` of the two supports, never to the whole
-    chain: the stack once per ``sites``, a group once per ``lifts`` cache.
+    ``stack`` holds commutators on the sorted sites ``union``, each counted
+    ``weights`` times; ``groups`` maps each support to its stacked terms.  A
+    nested commutator vanishes unless each new support meets the union of
+    the previous ones, and one that is 0 stays 0.  With ``root``, ``stack``
+    is the group of ``union``: as [h_0, h_1] = -[h_1, h_0] bit for bit, and
+    so is each commutator around it, a pair of two groups is made from the
+    earlier support only and counts twice.  Both sides are lifted to ``sites``,
+    the stack once per ``sites`` and a group once per ``lifts`` cache.
     """
     lifted = {}
     for support, group in groups.items():
-        if set(support).isdisjoint(union):
+        if set(support).isdisjoint(union) or root and support < union:
             continue
         sites = tuple(sorted(set(union).union(support)))
         if sites not in lifted:
             lifted[sites] = stack if sites == union else lift_block(stack, union, sites, local_dim)
         current = lifted[sites]
         if (support, sites) not in lifts:   # T x 1 x D x D, broadcast over the stack
-            lifts[support, sites] = _lift_group(group, sites, local_dim)[:, None]
+            lifts[support, sites] = lift_block(group, support, sites, local_dim)[:, None]
         h = lifts[support, sites]
-        yield sites, (h @ current - current @ h).reshape(-1, *current.shape[1:])
+        batch = (h @ current - current @ h).reshape(-1, *current.shape[1:])
+        counts = np.tile(weights, len(group)) * (2 if root and support != union else 1)
+        keep = batch.reshape(len(batch), -1).any(axis=1)   # no tolerance: exact zeros only
+        if keep.any():
+            yield sites, batch[keep], counts[keep]
 
 
 def _leaf_norms(leaves: np.ndarray, sites: tuple[int, ...], tensor: np.ndarray | None,
@@ -358,56 +364,70 @@ def _leaf_norms(leaves: np.ndarray, sites: tuple[int, ...], tensor: np.ndarray |
     return _matrix_norm(flat.conj().T @ blocks)
 
 
-def _walk_sum(spec: HamiltonianSpec, depth: int, basis: np.ndarray | None) -> float:
-    """Sum of ||V^dag C V|| (of ||C|| without a basis) over the nested commutators
-    C = [h_q, ..., [h_1, h_0]] of depth q with chain-overlapping supports.
+def _walk_sum(spec: HamiltonianSpec, depth: int, bases: list) -> list[float]:
+    """Per entry V of ``bases``, the sum of ||V^dag C V|| (of ||C|| for None) over the
+    nested commutators C = [h_q, ..., [h_1, h_0]] of depth q with chain-overlapping supports.
 
     Terms are grouped by sorted support.  One root group at a time; below it
     the walk goes level by level and stacks the commutators that share a
     union of supports, so each (union, group) pair is one batched product.
-    The last level's batches are reduced as they are made, never stored.
-    C on the sites U acts on the chain as C (x) 1, so its norm is that of
-    the U block, and V^dag (C (x) 1) V contracts the block with V's axes U.
+    The last level's batches are reduced against every basis as they are
+    made.  C on the sites U acts on the chain as C (x) 1, so its norm is that
+    of the U block, and V^dag (C (x) 1) V contracts the block with V's axes U.
     """
     d = spec.lattice.local_dim
-    groups: dict[tuple[int, ...], list] = {}
-    for term in spec.terms:
-        groups.setdefault(tuple(sorted(term.support)), []).append(term)
-    tensor = None if basis is None else basis.reshape((d,) * spec.lattice.num_sites + (-1,))
-    views: dict[tuple[int, ...], np.ndarray] = {}
-    total = 0.0
+    blocks: dict[tuple[int, ...], list] = {}
+    for term in spec.terms:   # a support is sorted
+        blocks.setdefault(term.support, []).append(term.block)
+    # float64 when every block of a support is real
+    groups = {support: lift_block(np.stack(stack), support, support, d)
+              for support, stack in blocks.items()}
+    tensors = [None if basis is None else basis.reshape((d,) * spec.lattice.num_sites + (-1,))
+               for basis in bases]
+    views: list[dict] = [{} for _ in bases]
+    totals = [0.0] * len(bases)
     lifts: dict = {}
     for root, group in groups.items():
-        level = {root: _lift_group(group, root, d)}
-        for _ in range(depth - 1):
+        level = {root: (group, np.ones(len(group)))}
+        for q in range(depth - 1):
             below: dict[tuple[int, ...], list] = {}
-            for union, stack in level.items():
-                for sites, batch in _commutators(groups, d, union, stack, lifts):
+            for union, (stack, weights) in level.items():
+                for sites, *batch in _commutators(groups, d, union, stack, weights, lifts, q == 0):
                     below.setdefault(sites, []).append(batch)
-            level = {sites: np.concatenate(parts) for sites, parts in below.items()}
-        for union, stack in level.items():
-            batches = _commutators(groups, d, union, stack, lifts) if depth else [(union, stack)]
-            for sites, leaves in batches:
-                total += float(_leaf_norms(leaves, sites, tensor, views).sum())
-    return total
+            level = {sites: tuple(map(np.concatenate, zip(*parts)))
+                     for sites, parts in below.items()}
+        for union, (stack, weights) in level.items():
+            batches = (_commutators(groups, d, union, stack, weights, lifts, depth == 1)
+                       if depth else [(union, stack, weights)])
+            for sites, leaves, counts in batches:
+                for b, tensor in enumerate(tensors):
+                    if tensor is None or tensor.shape[-1]:   # else every leaf is 0 x 0
+                        totals[b] += float(_leaf_norms(leaves, sites, tensor, views[b]) @ counts)
+    return totals
 
 
 def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
-                          basis: np.ndarray | None = None) -> float:
+                          basis: np.ndarray | list | tuple | None = None) -> float | list[float]:
     """Sum over term tuples of the nested-commutator norm, optionally projected.
 
     With an orthonormal block V (``ErrorLab.low_column_basis``) the summand
     is ||V^dag [h_q, ..., [h_1, h_0]] V||, which equals ||P C P|| for the
-    projector P = V V^dag; depth is the number of commutators (1..3).
+    projector P = V V^dag; depth is the number of commutators (1..3).  A
+    list or tuple of such blocks and None (the unprojected sum) takes one
+    walk and returns a list, one sum per entry; a block with no column gives 0.0.
     """
     if not 1 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_COMMUTATOR_DEPTH}, got {depth}")
     dim = spec.lattice.hilbert_dim
-    if basis is not None and (basis.ndim != 2 or basis.shape[0] != dim):
-        raise ValueError(f"basis must be a {dim} x m block, got shape {basis.shape}")
-    if basis is not None and basis.shape[1] == 0:
-        return 0.0  # every projected leaf is a 0 x 0 block
-    return _walk_sum(spec, depth, basis)
+    many = isinstance(basis, (list, tuple))
+    bases = list(basis) if many else [basis]
+    for block in bases:
+        if block is not None and (not isinstance(block, np.ndarray) or block.ndim != 2
+                                  or block.shape[0] != dim):
+            raise ValueError(f"basis must be a {dim} x m block, got shape {np.shape(block)}")
+    walk = any(block is None or block.shape[1] for block in bases)
+    sums = _walk_sum(spec, depth, bases) if walk else [0.0] * len(bases)
+    return sums if many else sums[0]
 
 
 def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
@@ -431,7 +451,7 @@ def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
     if np.linalg.norm(residual) > SUBSPACE_TOL:
         raise ValueError(f"state leaks out of the energy-{delta} subspace")
     # |psi^dag C psi| is the norm of the 1 x 1 block of V = psi
-    total = _walk_sum(spec, depth, psi[:, None])
+    total = _walk_sum(spec, depth, [psi[:, None]])[0]
     g = extensiveness(spec)
     bound = math.factorial(depth) * (2.0 * spec.locality_k * g) ** depth * delta
     return total, bound

@@ -133,8 +133,9 @@ def _matrix_norm(a: np.ndarray):
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, via the Hermitian eigendecomposition of A^dag A."""
-    return _matrix_norm(np.asarray(a, dtype=complex))
+    """Largest singular value from the eigvalsh of A^dag A: real for float64, else complex."""
+    a = np.asarray(a)
+    return _matrix_norm(a if a.dtype == np.float64 else a.astype(complex))
 
 
 def low_energy_mask(eigenvalues: np.ndarray, delta: float) -> np.ndarray:

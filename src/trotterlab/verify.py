@@ -81,19 +81,14 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
         worst_margin = min(worst_margin, min(report.term_psd_margins))
     out.append(CheckResult("ham-psd-terms", all_valid, worst_margin, -1e-10))
 
-    worst = 0.0
+    worst = ground = 0.0
     for spec in specs:
         hamiltonian, parts = assemble(spec)
-        resid = hamiltonian - sum(parts)
-        worst = max(worst, float(np.abs(resid).max()))
-    out.append(CheckResult("ham-partition-sum", worst <= 1e-12, worst, 1e-12))
-
-    worst = 0.0
-    for spec in specs:
+        worst = max(worst, float(np.abs(hamiltonian - sum(parts)).max()))
         if spec.model_tag in ("aklt", "mg"):
-            hamiltonian, _ = assemble(spec)
-            worst = max(worst, abs(float(np.linalg.eigvalsh(hamiltonian)[0])))
-    out.append(CheckResult("ham-frustration-free", worst <= 1e-10, worst, 1e-10))
+            ground = max(ground, abs(float(np.linalg.eigvalsh(hamiltonian)[0])))
+    out.append(CheckResult("ham-partition-sum", worst <= 1e-12, worst, 1e-12))
+    out.append(CheckResult("ham-frustration-free", ground <= 1e-10, ground, 1e-10))
 
     base = build_aklt(4)
     worst_drop = math.inf
@@ -257,15 +252,16 @@ def _error_checks(lab_for, rng) -> list[CheckResult]:
         lab = lab_for(model, n)
         spec = lab.spec
         g = extensiveness(spec)
+        # one walk per depth: the unprojected sum, then one per cutoff
+        bases = [None] + [lab.low_column_basis(delta) for delta in (0.5, 1.0)]
         for depth in (1, 2):
-            unrestricted = nested_commutator_sum(spec, depth)
+            unrestricted, *projected = nested_commutator_sum(spec, depth, bases)
             cap = unrestricted_commutator_bound(depth, spec.locality_k, g,
                                                spec.lattice.num_sites)
             worst_ratio = max(worst_ratio, unrestricted / cap)
-            for delta in (0.5, 1.0):
-                projected = nested_commutator_sum(spec, depth, lab.low_column_basis(delta))
+            for delta, value in zip((0.5, 1.0), projected):
                 bound = projected_commutator_bound(depth, spec.locality_k, g, delta)
-                worst_ratio = max(worst_ratio, projected / bound)
+                worst_ratio = max(worst_ratio, value / bound)
     out.append(CheckResult("err-commutator-bounds", worst_ratio < 1.0, worst_ratio, 1.0))
 
     worst_ratio = 0.0

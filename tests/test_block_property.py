@@ -12,8 +12,10 @@ family is built of exact total-spin projectors, for which the lab takes
 every error from the smallest-|S^z| sector alone.  A fifth family is
 exactly flip-invariant, each block averaged with its index reversal, so the
 lab folds the sectors that the flip maps to themselves into halves and
-skips mirror sectors.  Examples are derandomized so the suite stays
-deterministic.
+skips mirror sectors.  A sixth family puts several terms on each support,
+one support gapped, so the walk's pairs within one group and across groups
+and its exact-zero pruning are checked for a whole list of bases at once.
+Examples are derandomized so the suite stays deterministic.
 """
 import math
 
@@ -107,6 +109,30 @@ def spin_projector_specs(draw):
     return tl.HamiltonianSpec(lattice, tuple(terms), partition, locality_k=locality)
 
 
+@st.composite
+def shared_support_specs(draw):
+    """Two supports or three, the first gapped (sites 0 and j > 1), with two PSD
+    terms on the first and one or two on each other; qubits or qutrits."""
+    local_dim = draw(st.sampled_from((2, 3)))
+    num_sites = draw(st.integers(3, 4 if local_dim == 2 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    supports = [(0, int(rng.integers(2, num_sites)))]
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 2))
+        supports.append(tuple(sorted(rng.choice(num_sites, size=size, replace=False).tolist())))
+    terms = []
+    for count, support in zip([2] + [draw(st.integers(1, 2)) for _ in supports[1:]], supports):
+        for _ in range(count):
+            dim = local_dim ** len(support)
+            raw = rng.standard_normal((dim, dim))
+            if draw(st.booleans()):
+                raw = raw + 1j * rng.standard_normal((dim, dim))
+            terms.append(tl.LocalTerm(support, raw @ raw.conj().T / dim))
+    lattice = tl.LatticeSpec(num_sites, local_dim)
+    return tl.HamiltonianSpec(lattice, tuple(terms), tl.greedy_partition(lattice, terms),
+                              locality_k=2)
+
+
 ERROR_DRAWS = dict(order_p=st.sampled_from((1, 2, 4, 6)), t=st.floats(0.0, 1.0),
                    fractions=st.lists(st.floats(0.0, 1.0), max_size=3),
                    inf_at=st.integers(0, 3), steps=st.integers(1, 3))
@@ -168,6 +194,30 @@ def test_real_block_commutator_sum_matches_projector_sandwich(spec, depth, fract
 @given(drawn=charged_specs(local_dims=(3,)), depth=st.integers(1, 3))
 def test_qutrit_commutator_sum_matches_dense_oracle(drawn, depth):
     check_unprojected_sum(drawn[0], depth)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(spec=shared_support_specs(), depth=st.integers(1, 3), fraction=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_basis_list_walk_matches_single_calls_and_dense_oracle(spec, depth, fraction, seed):
+    lab = tl.ErrorLab(spec)
+    dim = spec.lattice.hilbert_dim
+    delta = fraction * lab.max_energy
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, dim + 1))
+    isometry = np.linalg.qr(rng.standard_normal((dim, width))
+                            + 1j * rng.standard_normal((dim, width)))[0]
+    bases = [None, lab.low_column_basis(delta), isometry, np.zeros((dim, 0))]
+    sums = tl.nested_commutator_sum(spec, depth, bases)
+    assert type(sums) is list and all(type(value) is float for value in sums)
+    assert sums == [tl.nested_commutator_sum(spec, depth, basis) for basis in bases]
+    assert tl.nested_commutator_sum(spec, depth, tuple(bases)) == sums
+    assert sums[3] == 0.0
+    projectors = [None, oracle_dense.projector(lab, delta), isometry @ isometry.conj().T]
+    commutators = list(oracle_dense.nested_commutators(spec, depth))
+    dense = [sum(np.linalg.norm(c if p is None else p @ c @ p, 2) for c in commutators)
+             for p in projectors]
+    assert sums[:3] == pytest.approx(dense, rel=1e-12, abs=1e-13)
 
 
 @PROPERTY_SETTINGS

@@ -343,18 +343,36 @@ def test_nested_commutator_sum_zero_for_commuting():
     assert tl.nested_commutator_sum(spec, 1) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_commuting_chain_walk_prunes_every_commutator(monkeypatch):
+    """Diagonal bonds commute bit for bit, so every [h_1, h_0] is exactly 0 and
+    is dropped as it is made: the depth-2 walk takes no norm at all."""
+    bond = (np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])) + np.eye(4)) / 2
+    terms = tuple(tl.LocalTerm((i, i + 1), bond) for i in range(4))
+    spec = tl.HamiltonianSpec(tl.LatticeSpec(5, 2), terms, (1, 2, 1, 2), locality_k=2)
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("the walk took a norm")
+
+    monkeypatch.setattr(errors, "_matrix_norm", no_norm)
+    assert tl.nested_commutator_sum(spec, 2) == 0.0
+    assert tl.nested_commutator_sum(spec, 2, [None, np.eye(32)[:, :3]]) == [0.0, 0.0]
+
+
 def test_nested_commutator_sum_skips_empty_block(aklt4, monkeypatch):
     def no_embedding(*args, **kwargs):
         raise AssertionError("a term was embedded for an empty block")
 
     monkeypatch.setattr(errors, "lift_block", no_embedding)
     assert tl.nested_commutator_sum(aklt4.spec, 2, aklt4.low_column_basis(-1.0)) == 0.0
+    assert tl.nested_commutator_sum(aklt4.spec, 2, [np.zeros((81, 0))] * 2) == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("shape", [(81,), (81, 1, 1), (80, 2), ()])
 def test_nested_commutator_sum_refuses_a_basis_that_is_not_a_column_block(aklt4, shape):
-    with pytest.raises(ValueError, match="basis must be a 81 x m block"):
-        tl.nested_commutator_sum(aklt4.spec, 1, np.zeros(shape))
+    # alone, in a tuple of bases, and as a list entry that is not an array
+    for basis in (np.zeros(shape), (None, np.zeros(shape)), [np.zeros(shape).tolist()]):
+        with pytest.raises(ValueError, match="basis must be a 81 x m block"):
+            tl.nested_commutator_sum(aklt4.spec, 1, basis)
 
 
 def test_nested_commutator_depth_limits(aklt4):

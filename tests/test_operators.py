@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 
 import trotterlab as tl
+from trotterlab import operators
 from trotterlab.embedding import embed_block
 from trotterlab.lattice import LatticeSpec, LocalTerm
 from trotterlab.operators import apply_matrix, low_energy_mask, spin_projector_terms
@@ -139,13 +140,19 @@ def test_evolve_matches_expm():
         np.testing.assert_allclose(mine @ mine.conj().T, np.eye(20), atol=1e-12)
 
 
-def test_spectral_norm_matches_two_norm():
+def test_spectral_norm_matches_two_norm(monkeypatch):
     rng = np.random.default_rng(12)
     for dim in (1, 7, 30):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         assert tl.spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+        assert tl.spectral_norm(a.real) == pytest.approx(np.linalg.norm(a.real, 2), rel=1e-10)
     assert tl.spectral_norm(np.zeros((4, 4))) == 0.0
     assert tl.spectral_norm(PAULI_X) == pytest.approx(1.0, abs=1e-12)
+    seen = []   # float64 stays real; anything else, integers included, runs in complex128
+    monkeypatch.setattr(operators, "_matrix_norm", lambda a: seen.append(a.dtype) or 0.0)
+    for a in (np.eye(2), np.eye(2, dtype=complex), [[1, 0], [0, 2]]):
+        tl.spectral_norm(a)
+    assert seen == [np.float64, np.complex128, np.complex128]
 
 
 def test_low_energy_projector_rank_and_ties():

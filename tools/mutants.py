@@ -105,15 +105,30 @@ MUTANTS = (
            "[len(union) - 1 - union.index(site) for site in where]",
            ("tests/test_block_property.py::test_block_commutator_sum_matches_projector_sandwich",)),
     Mutant("pruning-needs-two-shared-sites", "src/trotterlab/errors.py",
-           "if set(support).isdisjoint(union):",
-           "if len(set(support) & set(union)) < 2:",
+           "if set(support).isdisjoint(union) or",
+           "if len(set(support) & set(union)) < 2 or",
            ("tests/test_block_property.py::test_qutrit_commutator_sum_matches_dense_oracle",)),
     Mutant("projected-contraction-drops-conj", "src/trotterlab/errors.py",
            "_matrix_norm(flat.conj().T @", "_matrix_norm(flat.T @",
            ("tests/test_block_property.py::test_block_commutator_sum_matches_projector_sandwich",)),
     Mutant("expectation-walk-one-level-short", "src/trotterlab/errors.py",
-           "_walk_sum(spec, depth, psi[:, None])", "_walk_sum(spec, depth - 1, psi[:, None])",
+           "_walk_sum(spec, depth, [psi[:, None]])", "_walk_sum(spec, depth - 1, [psi[:, None]])",
            ("tests/test_block_property.py::test_expectation_sum_matches_dense_oracle",)),
+    Mutant("walk-cross-pair-weight-one", "src/trotterlab/errors.py",
+           "(2 if root and support != union else 1)", "1",
+           ("tests/test_errors.py::test_nested_commutator_sum_matches_brute_force",
+            "tests/test_block_property.py::"
+            "test_basis_list_walk_matches_single_calls_and_dense_oracle")),
+    Mutant("walk-revisits-earlier-supports", "src/trotterlab/errors.py",
+           " or root and support < union:", ":",
+           ("tests/test_errors.py::test_nested_commutator_sum_matches_brute_force",
+            "tests/test_block_property.py::"
+            "test_basis_list_walk_matches_single_calls_and_dense_oracle")),
+    Mutant("prune-drops-nonzero", "src/trotterlab/errors.py",
+           "keep = batch.reshape(len(batch), -1).any(axis=1)",
+           "keep = batch.reshape(len(batch), -1).all(axis=1)",
+           ("tests/test_block_property.py::"
+            "test_basis_list_walk_matches_single_calls_and_dense_oracle",)),
     Mutant("spin-route-takes-sector-zero", "src/trotterlab/errors.py",
            "(label == n * (d - 1) // 2)", "(label == 0)",
            ("tests/test_errors.py::test_lab_bytes_counts_the_listing",
