@@ -10,7 +10,7 @@ import numpy as np
 
 
 def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int,
-                  rows: np.ndarray | None = None) -> tuple:
+                  rows: np.ndarray | None = None, columns: np.ndarray | None = None) -> tuple:
     """Fancy index and values that scatter ``block`` on the sites ``where`` into a matrix.
 
     ``block`` must act on ``local_dim ** len(where)`` dimensions, its tensor
@@ -20,10 +20,10 @@ def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int,
     columns that swap those digits for each local state's.  The values are
     float64 when the imaginary part is exactly zero, complex128 otherwise.
 
-    ``rows``, a sorted array of basis states, restricts the matrix to those
-    states: row and column i stand for ``rows[i]``.  An entry between a state
-    of ``rows`` and one outside must be exactly 0, or ``ValueError`` is
-    raised; the index and values then come flat, without those entries.
+    Sorted arrays of basis states ``rows`` and ``columns`` (default ``rows``)
+    restrict the matrix to row i for ``rows[i]`` and column j for ``columns[j]``.
+    An entry from ``rows`` to a state outside ``columns`` must be exactly 0, or
+    ``ValueError`` is raised; the index and values then come flat, without them.
     """
     d = int(local_dim)
     n = int(num_sites)
@@ -41,26 +41,27 @@ def block_entries(block: np.ndarray, where, num_sites: int, local_dim: int,
         raise ValueError(
             f"block of shape {block.shape} does not act on {s} sites of dimension {d}")
     states = np.arange(d ** n) if rows is None else np.asarray(rows)
-    if rows is not None and (states.ndim != 1 or states.dtype.kind not in "iu"
-                             or np.any(states[1:] <= states[:-1])
-                             or (states.size and not 0 <= states[0] <= states[-1] < d ** n)):
-        raise ValueError(f"rows must be sorted distinct basis states below {d ** n}")
+    kept = states if columns is None else np.asarray(columns)
+    for name, x, arg in (("rows", states, rows), ("columns", kept, columns)):
+        if arg is not None and (x.ndim != 1 or x.dtype.kind not in "iu" or np.any(x[1:] <= x[:-1])
+                                or (x.size and not 0 <= x[0] <= x[-1] < d ** n)):
+            raise ValueError(f"{name} must be sorted distinct basis states below {d ** n}")
     weights = d ** (n - 1 - np.array(where, dtype=int))   # place value of each support site
     local = d ** np.arange(s - 1, -1, -1)
     digits = states[:, None] // weights % d
     offsets = (np.arange(d ** s)[:, None] // local % d) @ weights
-    columns = states[:, None] - digits @ weights[:, None] + offsets
+    targets = states[:, None] - digits @ weights[:, None] + offsets
     values = block[..., digits @ local, :]
     here = np.arange(states.size)[:, None]
-    if rows is None:
-        return (here, columns), values
-    inverse = np.full(d ** n, -1)   # position of each basis state in rows, -1 outside
-    inverse[states] = here[:, 0]
-    columns = inverse[columns]
-    inside = columns >= 0
+    if rows is None and columns is None:
+        return (here, targets), values
+    inverse = np.full(d ** n, -1)   # position of each basis state in the columns, -1 outside
+    inverse[kept] = np.arange(kept.size)
+    targets = inverse[targets]
+    inside = targets >= 0
     if values[..., ~inside].any():
         raise ValueError(f"block on sites {where} couples the rows to other basis states")
-    return (np.broadcast_to(here, columns.shape)[inside], columns[inside]), values[..., inside]
+    return (np.broadcast_to(here, targets.shape)[inside], targets[inside]), values[..., inside]
 
 
 def embed_block(block: np.ndarray, where: list[int] | tuple[int, ...],

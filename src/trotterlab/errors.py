@@ -27,11 +27,11 @@ image's spectra, and its vectors are the image's with F applied, so it is
 never assembled or diagonalised.  Its norms are its image's, so ``errors``
 skips it.  A sector that F maps to itself splits into two halves: its
 states a < F a pair with their images, and for odd d the all-middle-digit
-state is F's fixed point f.  On (e_a +- e_Fa)/sqrt(2) and e_f, one
-assembly of the sector folds into the + half [[M_pp + M_pF, sqrt(2) M_pf],
-[sqrt(2) M_fp, M_ff]] and the - half M_pp - M_pF (p the pairs, pF their
-images), with exactly 0 between them, so each half is a block of its own
-(Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
+state is F's fixed point f.  On (e_a +- e_Fa)/sqrt(2) and e_f, a sector
+matrix M splits into the + half [[M_pp + M_pF, sqrt(2) M_pf], [sqrt(2) M_fp,
+M_ff]] and the - half M_pp - M_pF (p the pairs, pF their images), exactly 0
+between, and each half folds from its own rows p (and f) against the states
+of the sector (Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
 
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
@@ -89,20 +89,19 @@ def sector_listing(spec: HamiltonianSpec) -> list[Sector]:
         image = charge[-1 - rows[0]] if flip else label   # the label of F's image
         visited = (label == n * (d - 1) // 2) if spin_invariant else label <= image
         if image < label:   # a mirror: every label up to its image is whole, one sector each
-            sectors.append(Sector(spec, rows, 0, visited, {}, sectors[image]))
+            sectors.append(Sector(spec, rows, 0, visited, sectors[image]))
             continue
-        blocks: dict = {}   # the halves of one charge sector share one assembly
         signs = (1, -1) if flip and image == label else (0,)
-        sectors += [Sector(spec, rows, sign, visited, blocks) for sign in signs]
+        sectors += [Sector(spec, rows, sign, visited) for sign in signs]
     return sectors
 
 
 def lab_bytes(spec: HamiltonianSpec, sectors: list[Sector]) -> int:
     """Peak bytes of an ``ErrorLab`` on the ``sectors`` of ``sector_listing``.
 
-    At s bytes per entry of ``spec.dtype``: Gamma + 1 blocks on the largest
-    charge sector's n states, n^2 entries each plus (n^2 + 1) // 2 for their
-    folded halves; H's eigenvectors on every sector but the mirrors; Gamma
+    At s bytes per entry of ``spec.dtype``: the largest assembly, Gamma + 1
+    blocks of n^2 on a whole sector of n states, or of a half's size x n rows
+    and size^2 fold; H's eigenvectors on every sector but the mirrors; Gamma
     group eigenvectors and Gamma (Gamma - 1)/2 transitions per visited
     sector; ``LAB_COMPLEX_BLOCKS`` complex blocks of the largest visited
     sector; ``LAB_FLOOR_BYTES``.
@@ -111,28 +110,26 @@ def lab_bytes(spec: HamiltonianSpec, sectors: list[Sector]) -> int:
     built = [sector for sector in sectors if sector.image is None]
     squares = [sector.size ** 2 for sector in built]
     visited = [sector.size ** 2 for sector in sectors if sector.visited]
-    assembly = max(x.rows.size ** 2 + (x.sign != 0) * (x.rows.size ** 2 + 1) // 2 for x in built)
+    assembly = max(x.size * x.rows.size + (x.sign != 0) * x.size ** 2 for x in built)
     return (s * ((gamma + 1) * assembly + sum(squares) + gamma * (gamma + 1) // 2 * sum(visited))
             + COMPLEX_BYTES * LAB_COMPLEX_BLOCKS * max(visited) + LAB_FLOOR_BYTES)
 
 
 def _fold(block: np.ndarray, sign: int) -> np.ndarray:
-    """The flip half ``sign`` (+1 or -1) of a block on a sector that F maps to itself.
+    """A sector's first rows against all n columns of its charge sector, folded into its half.
 
-    F reverses the sector's sorted states, so state i pairs with n - 1 - i:
-    the first n // 2 are the pairs and, for odd n, the middle one is the
-    fixed point.  The half acts on the pairs, then the fixed point (+ only);
-    0 keeps ``block`` whole.
+    F reverses the sorted states, so state i pairs with n - 1 - i: for the
+    flip half ``sign`` (+1 or -1) the first n // 2 rows are the pairs and,
+    for odd n, the + half's last row is the middle state, the fixed point.
+    The half acts on the same coordinates; 0 keeps the n x n ``block`` whole.
     """
-    if not sign:
-        return block
-    pairs, size = len(block) // 2, (len(block) + (sign > 0)) // 2
-    half = block[:size, :size].copy()
+    size, pairs = block.shape[0], block.shape[1] // 2 * abs(sign)
+    half = np.ascontiguousarray(block[:, :size])   # a copy unless the block is whole
     mirror = block[:pairs, ::-1][:, :pairs]   # M[a, F b] on the pairs
     if sign > 0:
         half[:pairs, :pairs] += mirror
     else:
-        half -= mirror
+        half[:pairs, :pairs] -= mirror
     half[pairs:, :pairs] *= math.sqrt(2)   # the fixed point's couplings, if any
     half[:pairs, pairs:] *= math.sqrt(2)
     return half
@@ -142,19 +139,20 @@ class Sector:
     """H and the groups on the basis states ``rows`` of one charge sector, or of its flip half.
 
     ``sign`` is 0 for the whole sector, or +1 or -1 for its half on
-    (e_a +- e_Fa)/sqrt(2); ``size`` counts its coordinates.  On first use a
-    sector takes the ``eigh`` of H (eigenvalues ascending) and of each group
-    on them, and ``transitions`` is the cache that ``apply_plan`` fills for
-    it.  The halves of one charge sector share ``blocks``: one
-    ``assemble(spec, rows)`` folds into both, and each block is freed once
-    its ``eigh`` is taken.  A sector that is not ``visited`` is whole and
-    keeps no block it was not asked for.  A mirror sector, one that F maps
-    onto its ``image``, builds nothing: it has its image's spectra, and it
-    lifts through F.
+    (e_a +- e_Fa)/sqrt(2); ``size`` counts its coordinates, which are its
+    first ``size`` rows: the pairs, then F's fixed point for the + half.  It
+    assembles those rows against every state of ``rows`` and folds them
+    into its half, H and every group in one pass.  On first use a sector
+    takes the ``eigh`` of H (eigenvalues ascending) and of each group on
+    them, and ``transitions`` is the cache that ``apply_plan`` fills for it.
+    A ``visited`` sector keeps its folded groups from H's pass until their
+    ``eigh``; any other assembles again when asked for its groups.  A
+    mirror sector, one that F maps onto its ``image``, builds nothing: it
+    has its image's spectra, and it lifts through F.
     """
 
     def __init__(self, spec: HamiltonianSpec, rows: np.ndarray, sign: int, visited: bool,
-                 blocks: dict, image: Sector | None = None):
+                 image: Sector | None = None):
         self.spec = spec
         self.rows = rows
         self.sign = sign
@@ -162,16 +160,11 @@ class Sector:
         self.image = image
         self.size = (rows.size + (sign > 0)) // 2 if sign else rows.size
         self.transitions: dict = {}
-        self._blocks = blocks
+        self._parts = None   # the folded groups of H's pass, until their eigh
 
-    def _take(self, name: str):
-        if self.sign not in self._blocks:
-            hamiltonian, parts = assemble(self.spec, self.rows)
-            for sign in (1, -1) if self.sign else (0,):
-                self._blocks[sign] = {"spectrum": _fold(hamiltonian, sign),
-                                      "part_spectra": [_fold(part, sign) for part in parts]}
-        entry = self._blocks[self.sign] if self.visited else self._blocks.pop(self.sign)
-        return entry.pop(name)
+    def _assemble(self) -> tuple:
+        hamiltonian, parts = assemble(self.spec, self.rows[:self.size], self.rows)
+        return _fold(hamiltonian, self.sign), [_fold(part, self.sign) for part in parts]
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """The sector's coordinate columns ``vectors`` as dim x m columns of the full
@@ -180,10 +173,7 @@ class Sector:
         if self.image is not None:
             return self.image.lift(vectors)[::-1]   # F e_a = e_(dim - 1 - a)
         out = np.zeros((self.spec.lattice.hilbert_dim, vectors.shape[1]), vectors.dtype)
-        if not self.sign:
-            out[self.rows] = vectors
-            return out
-        pairs = self.rows.size // 2
+        pairs = self.rows.size // 2 * abs(self.sign)   # none in a whole sector
         out[self.rows[:pairs]] = vectors[:pairs] / math.sqrt(2)
         out[self.rows[::-1][:pairs]] = self.sign * out[self.rows[:pairs]]
         out[self.rows[pairs:self.size]] = vectors[pairs:]
@@ -191,12 +181,18 @@ class Sector:
 
     @cached_property
     def spectrum(self):
-        return eigh(self._take("spectrum")) if self.image is None else self.image.spectrum
+        if self.image is not None:
+            return self.image.spectrum
+        hamiltonian, parts = self._assemble()
+        self._parts = parts if self.visited and "part_spectra" not in vars(self) else None
+        return eigh(hamiltonian)
 
     @cached_property
     def part_spectra(self) -> tuple:
-        return (tuple(eigh(part) for part in self._take("part_spectra"))
-                if self.image is None else self.image.part_spectra)
+        if self.image is not None:
+            return self.image.part_spectra
+        parts, self._parts = self._parts or self._assemble()[1], None
+        return tuple(eigh(part) for part in parts)
 
 
 def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:

@@ -4,13 +4,15 @@ Every operator is a dense ndarray: float64 when every term block of its
 spec is real (all built-in models), complex128 otherwise.  A spectrum is an
 ``np.linalg.eigh`` result, a pair of ``eigenvalues`` and orthonormal
 ``eigenvectors`` columns; ``ErrorLab`` keeps one per sector of
-``conserved_charge``, each from ``assemble`` on that sector's basis states,
-and a real Hamiltonian gets real eigenvectors.
+``conserved_charge``, each from ``assemble`` of that sector's rows against
+its charge sector's states, and a real Hamiltonian gets real eigenvectors.
 Spectral norms come from the Hermitian eigendecomposition of A^dag A;
 propagators from the eigendecomposition of the (Hermitian) generator,
 reused across times.
 """
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -27,24 +29,28 @@ def embed(term: LocalTerm, lattice: LatticeSpec) -> np.ndarray:
     return embed_block(term.block, term.support, lattice.num_sites, lattice.local_dim)
 
 
-def assemble(spec: HamiltonianSpec,
-             rows: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+def assemble(spec: HamiltonianSpec, rows: np.ndarray | None = None,
+             columns: np.ndarray | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum of all embedded terms plus the per-group partial Hamiltonians, of ``spec.dtype``.
 
-    On every basis state, or on the sorted basis states ``rows`` only: then
-    each term must be exactly 0 between them and the rest (see
-    ``block_entries``), as it is on a sector of ``conserved_charge``.
+    On every basis state, or on the sorted basis states ``rows`` against the
+    sorted ``columns`` (default ``rows``); each term must then be exactly 0 from
+    ``rows`` to the states outside ``columns`` (see ``block_entries``), as on a
+    charge sector.  Terms add in order, each run on one support by one index.
     """
     size = spec.lattice.hilbert_dim if rows is None else len(rows)
+    shape = (size, size if columns is None else len(columns))
     dtype = spec.dtype
-    require_memory((spec.gamma_count + 1) * dtype.itemsize * size ** 2, "H and its groups")
+    require_memory((spec.gamma_count + 1) * dtype.itemsize * size * shape[1], "H and its groups")
     n, d = spec.lattice.num_sites, spec.lattice.local_dim
-    total = np.zeros((size, size), dtype=dtype)
-    partials = [np.zeros((size, size), dtype=dtype) for _ in range(spec.gamma_count)]
-    for term, gamma in zip(spec.terms, spec.partition):
-        index, values = block_entries(term.block, term.support, n, d, rows)
-        total[index] += values
-        partials[gamma - 1][index] += values
+    total = np.zeros(shape, dtype=dtype)
+    partials = [np.zeros(shape, dtype=dtype) for _ in range(spec.gamma_count)]
+    for support, run in groupby(zip(spec.terms, spec.partition), lambda pair: pair[0].support):
+        blocks, gammas = zip(*((term.block, gamma) for term, gamma in run))
+        index, values = block_entries(np.stack(blocks), support, n, d, rows, columns)
+        for gamma, value in zip(gammas, values):
+            total[index] += value
+            partials[gamma - 1][index] += value
     return total, partials
 
 

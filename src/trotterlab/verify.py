@@ -63,15 +63,15 @@ def run_verify(seed: int = 0) -> list[CheckResult]:
     specs = [lab_for(tag, n).spec for tag, sizes in
              (("aklt", AKLT_SIZES), ("mg", MG_SIZES), ("lr_heisenberg", (LR_SIZE,)))
              for n in sizes]
-    results = _lattice_checks(specs, rng)
-    results += _operator_checks(specs, lab_for)
+    results, hamiltonians = _lattice_checks(specs, rng)
+    results += _operator_checks(specs, hamiltonians, lab_for)
     results += _formula_checks(lab_for)
     results += _error_checks(lab_for, rng)
     results += _bound_checks(lab_for)
     return results
 
 
-def _lattice_checks(specs, rng) -> list[CheckResult]:
+def _lattice_checks(specs, rng) -> tuple[list[CheckResult], list[np.ndarray]]:
     out = []
     worst_margin = math.inf
     all_valid = True
@@ -82,8 +82,10 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
     out.append(CheckResult("ham-psd-terms", all_valid, worst_margin, -1e-10))
 
     worst = ground = 0.0
+    hamiltonians = []
     for spec in specs:
         hamiltonian, parts = assemble(spec)
+        hamiltonians.append(hamiltonian)
         worst = max(worst, float(np.abs(hamiltonian - sum(parts)).max()))
         if spec.model_tag in ("aklt", "mg"):
             ground = max(ground, abs(float(np.linalg.eigvalsh(hamiltonian)[0])))
@@ -110,10 +112,10 @@ def _lattice_checks(specs, rng) -> list[CheckResult]:
     inc_large = long_range_extensiveness(64, 2.0) - long_range_extensiveness(32, 2.0)
     out.append(CheckResult("ham-longrange-decay", inc_large <= inc_small,
                            inc_large - inc_small, 0.0))
-    return out
+    return out, hamiltonians
 
 
-def _operator_checks(specs, lab_for) -> list[CheckResult]:
+def _operator_checks(specs, hamiltonians, lab_for) -> list[CheckResult]:
     out = []
     aklt4 = lab_for("aklt", 4)
 
@@ -149,13 +151,13 @@ def _operator_checks(specs, lab_for) -> list[CheckResult]:
 
     dev = 0.0
     resid = 0.0
-    for spec in specs:
+    for spec, hamiltonian in zip(specs, hamiltonians):
         lab = lab_for(spec.model_tag, spec.lattice.num_sites)
         # every battery H is PSD, so its largest |eigenvalue| is max_energy
         eig_norm = lab.max_energy
         # what is left of H once every sector's rebuilt block is taken away,
         # so entries between sectors count too
-        rest, _ = assemble(spec)
+        rest = hamiltonian.copy()
         dev = max(dev, abs(spectral_norm(rest) - eig_norm))
         for sector in lab.sectors:
             w, v = sector.spectrum

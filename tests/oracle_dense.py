@@ -50,6 +50,29 @@ def kron_assemble(spec):
     return total, partials
 
 
+def fold(block, sign):
+    """The flip half ``sign`` (+1 or -1) of a whole n x n sector block; 0 keeps it whole.
+
+    F reverses the sector's sorted states, so state i pairs with n - 1 - i:
+    the first n // 2 are the pairs and, for odd n, the middle one is F's
+    fixed point.  On (e_a +- e_Fa)/sqrt(2) and e_f the + half is
+    [[M_pp + M_pF, sqrt(2) M_pf], [sqrt(2) M_fp, M_ff]] and the - half
+    M_pp - M_pF, cut from the whole block.
+    """
+    if not sign:
+        return block
+    pairs, size = len(block) // 2, (len(block) + (sign > 0)) // 2
+    half = block[:size, :size].copy()
+    mirror = block[:pairs, ::-1][:, :pairs]   # M[a, F b] on the pairs
+    if sign > 0:
+        half[:pairs, :pairs] += mirror
+    else:
+        half -= mirror
+    half[pairs:, :pairs] *= math.sqrt(2)   # the fixed point's couplings, if any
+    half[:pairs, pairs:] *= math.sqrt(2)
+    return half
+
+
 @functools.lru_cache(maxsize=4)
 def dense_spectra(spec):
     """Dense ``eigh`` of ``kron_assemble(spec)``: H's spectrum, then each group's."""

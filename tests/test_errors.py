@@ -30,9 +30,9 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
         sizes.append(matrix.shape[0])
         return real_eigh(matrix)
 
-    def counting_assemble(spec, rows):
+    def counting_assemble(spec, rows, columns=None):
         assembled.append(rows.size)
-        return real_assemble(spec, rows)
+        return real_assemble(spec, rows, columns)
 
     monkeypatch.setattr(errors, "eigh", counting_eigh)
     monkeypatch.setattr(errors, "assemble", counting_assemble)
@@ -50,13 +50,14 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
     assert all(s.spectrum is s.image.spectrum and s.part_spectra is s.image.part_spectra
                for s in mirrors)
     # H and then each group on every other sector; one that is not visited
-    # keeps no block, so asked for its groups after H it assembles again, and
-    # the halves share one assembly
+    # keeps no group from H's pass, so asked for its groups after H it
+    # assembles again, and each half assembles only its own rows (the 9
+    # pairs, and for + the fixed point) against the 19 states of its sector
     assert sizes == [s.size for s in lab.sectors[:6] for _ in range(3)]
-    assert assembled == [1, 1, 4, 4, 10, 10, 16, 16, 19]
-    for sector in lab.sectors:   # cached, and the assembled blocks are freed
+    assert assembled == [1, 1, 4, 4, 10, 10, 16, 16, 10, 9]
+    for sector in lab.sectors:   # cached, and the folded groups are freed
         sector.spectrum, sector.part_spectra
-        assert not any(sector._blocks.values())
+        assert sector._parts is None
     assert len(sizes) == 18
     # the lifts of all sectors are an orthonormal basis of the whole space
     lifts = np.hstack([sector.lift(np.eye(sector.size)) for sector in lab.sectors])
@@ -193,8 +194,8 @@ def test_mirror_sectors_read_their_image(spec, monkeypatch):
     assembled, sizes = [], []
     real_eigh, real_assemble = errors.eigh, errors.assemble
     monkeypatch.setattr(errors, "eigh", lambda m: (sizes.append(len(m)), real_eigh(m))[1])
-    monkeypatch.setattr(errors, "assemble",
-                        lambda which, rows: (assembled.append(rows), real_assemble(which, rows))[1])
+    monkeypatch.setattr(errors, "assemble", lambda which, rows, columns=None: (
+        assembled.append((rows, columns)), real_assemble(which, rows, columns))[1])
     lab = tl.ErrorLab(spec)
     built = [s for s in lab.sectors if s.image is None]
     assert len(built) < len(lab.sectors)
@@ -208,22 +209,67 @@ def test_mirror_sectors_read_their_image(spec, monkeypatch):
         basis = lab.low_column_basis(fraction * top)
         assert np.abs(basis @ basis.conj().T
                       - oracle_dense.projector(lab, fraction * top)).max() <= 1e-12
-    # one assembly and one eigh of H per sector that is not a mirror
-    assert [rows.tolist() for rows in assembled] == [s.rows.tolist() for s in built]
+    # one assembly and one eigh of H per sector that is not a mirror: its own
+    # rows against every state of its charge sector
+    assert [(rows.tolist(), columns.tolist()) for rows, columns in assembled] == [
+        (s.rows[:s.size].tolist(), s.rows.tolist()) for s in built]
     assert sizes == [s.size for s in built]
 
 
 def test_unvisited_sectors_keep_no_blocks():
     lab = tl.ErrorLab(tl.build_mg(8))
     lab.low_column_basis(1.0)
-    # only the visited S^z = 0 halves hold blocks: their groups, for the sweeps
-    assert [bool(s._blocks) for s in lab.sectors] == [s.visited for s in lab.sectors]
+    # only the visited S^z = 0 halves hold their folded groups, for the sweeps
+    assert [s._parts is not None for s in lab.sectors] == [s.visited for s in lab.sectors]
+    assert all(len(s._parts) == lab.spec.gamma_count
+               and all(part.shape == (s.size, s.size) for part in s._parts)
+               for s in lab.sectors if s.visited)
     h, parts = oracle_dense.kron_assemble(lab.spec)
     for sector in lab.sectors:
         for matrix, (w, v) in zip((h, *parts), (sector.spectrum, *sector.part_spectra)):
             u = sector.lift(v)
             assert np.abs(u.T @ matrix @ u - np.diag(w)).max() <= 1e-12
-    assert not any(s._blocks.get(s.sign) for s in lab.sectors)
+    assert all(s._parts is None for s in lab.sectors)
+
+
+def complex_flip_spec():
+    """AKLT N=4 plus a complex qutrit pair term that conserves the digit sum and
+    equals its index reversal exactly, so the middle sector folds into halves."""
+    base = tl.build_aklt(4)
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    charge = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    raw[charge[:, None] != charge] = 0
+    block = raw @ raw.conj().T / 9
+    extra = tl.LocalTerm((1, 3), (block + block[::-1, ::-1]) / 2)
+    spec = tl.HamiltonianSpec(base.lattice, base.terms + (extra,),
+                              base.partition + (base.gamma_count + 1,), locality_k=2)
+    assert spec.dtype == np.complex128
+    return spec
+
+
+@pytest.mark.parametrize("spec, halves", [
+    (tl.build_aklt(4), 2), (tl.build_aklt(5), 2), (tl.build_mg(6), 2),
+    (tl.build_mg(7), 0),   # the flip maps digit sum c to 7 - c: mirrors, no halves
+    (tl.build_long_range_heisenberg(6, 2.0), 4), (complex_flip_spec(), 2),
+], ids=["aklt4", "aklt5", "mg6", "mg7", "lr6", "complex-flip"])
+def test_sector_blocks_are_the_fold_of_the_dense_assembly(spec, halves, monkeypatch):
+    # the matrices that reach eigh, from each sector's own rows against its
+    # charge sector, equal bit for bit the reference fold of the whole dense
+    # sector block: the same entries, added in the same order
+    taken = []
+    real_eigh = errors.eigh
+    monkeypatch.setattr(errors, "eigh", lambda m: (taken.append(m.copy()), real_eigh(m))[1])
+    lab = tl.ErrorLab(spec)
+    built = [s for s in lab.sectors if s.image is None]
+    assert sum(s.sign != 0 for s in built) == halves
+    for sector in built:
+        sector.spectrum, sector.part_spectra
+    h, parts = oracle_dense.kron_assemble(spec)
+    expected = [oracle_dense.fold(matrix[np.ix_(s.rows, s.rows)], s.sign)
+                for s in built for matrix in (h, *parts)]
+    assert len(taken) == len(expected)
+    assert all(a.dtype == spec.dtype and np.array_equal(a, b) for a, b in zip(taken, expected))
 
 
 def test_errors_skip_sectors_without_columns():
@@ -473,9 +519,10 @@ def test_low_column_basis_spans_the_low_energy_subspace(lab_cache):
 # ----------------------------------------------------- memory admission
 
 def test_lab_bytes_counts_the_listing():
-    # s (the largest assembly (Gamma + 1)(n^2 + its halves' squares) + H's
-    # eigenvectors on every sector but the mirrors + (Gamma + Gamma (Gamma - 1)/2)
-    # blocks per visited sector) + 16 * 4 (the largest visited sector)^2 + the floor.
+    # s (the largest assembly, Gamma + 1 blocks of n^2 for a whole sector of n
+    # states or of size n + size^2 for a half + H's eigenvectors on every sector
+    # but the mirrors + (Gamma + Gamma (Gamma - 1)/2) blocks per visited sector)
+    # + 16 * 4 (the largest visited sector)^2 + the floor.
     # AKLT N=4: total-S^z sectors of 1, 4, 10, 16, 19, 16, 10, 4, 1 states; 19
     # splits into halves of 10 and 9, the only sector visited (Gamma = 2), and
     # the last four mirror the first four
@@ -487,14 +534,15 @@ def test_lab_bytes_counts_the_listing():
         (16, 0, 16, False, True), (10, 0, 10, False, True), (4, 0, 4, False, True),
         (1, 0, 1, False, True)]
     halves = 10 ** 2 + 9 ** 2
+    # the + half's 10 x 19 rows and 10 x 10 fold outweigh the 16 x 16 sector
     assert lab_bytes(aklt, listing) == LAB_FLOOR_BYTES + 8 * (
-        3 * (19 ** 2 + halves) + (1 + 4 ** 2 + 10 ** 2 + 16 ** 2) + halves
+        3 * (10 * 19 + 10 ** 2) + (1 + 4 ** 2 + 10 ** 2 + 16 ** 2) + halves
         + 3 * halves) + 16 * 4 * 10 ** 2
     # MG N=6 (Gamma = 3): sectors of 1, 6, 15, 20, 15, 6, 1 states, 20 in halves of 10
     mg = tl.build_mg(6)
     halves = 2 * 10 ** 2
     assert lab_bytes(mg, sector_listing(mg)) == LAB_FLOOR_BYTES + 8 * (
-        4 * (20 ** 2 + halves) + (1 + 6 ** 2 + 15 ** 2) + halves
+        4 * (10 * 20 + 10 ** 2) + (1 + 6 ** 2 + 15 ** 2) + halves
         + 6 * halves) + 16 * 4 * 10 ** 2
     # a complex spec that conserves only the parity and is not flip-invariant:
     # two whole sectors of 4 states, both visited, 16 bytes per entry

@@ -260,6 +260,25 @@ def test_sector_assembly_refuses_rows_that_leak():
             tl.assemble(spec, bad)
 
 
+def test_assembly_on_rows_against_columns():
+    # a half's rows against all states of its sector: the cut of the dense H
+    spec = tl.build_aklt(3)
+    hamiltonian, parts = tl.assemble(spec)
+    charge = tl.conserved_charge(spec)
+    columns = np.flatnonzero(charge == 3)
+    for rows in (columns[:4], columns[3:4], columns[:0], columns):
+        block, block_parts = tl.assemble(spec, rows, columns)
+        assert block.shape == (rows.size, columns.size)
+        assert np.array_equal(block, hamiltonian[np.ix_(rows, columns)])
+        assert all(np.array_equal(a, b[np.ix_(rows, columns)]) for a, b in zip(block_parts, parts))
+    with pytest.raises(ValueError, match="couples the rows to other basis states"):
+        tl.assemble(spec, columns[:4], columns[1:])
+    for bad in (columns[::-1], np.append(columns, 27), np.array([-1, 0]), columns[:, None],
+                columns.astype(float)):
+        with pytest.raises(ValueError, match="columns must be sorted distinct basis states"):
+            tl.assemble(spec, columns, bad)
+
+
 def test_spin_projector_terms_by_bit_equality():
     aklt, mg = tl.build_aklt(4), tl.build_mg(5)
     for spec in (aklt, mg, tl.spec_from_json(tl.spec_to_json(aklt)),

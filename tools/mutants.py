@@ -140,8 +140,23 @@ MUTANTS = (
            ("tests/test_operators.py::test_spin_projector_terms_by_bit_equality",
             "tests/test_block_property.py::test_sector_spectra_and_errors_match_dense_oracle")),
     Mutant("minus-half-folded-with-plus", "src/trotterlab/errors.py",
-           "        half -= mirror", "        half += mirror",
+           "        half[:pairs, :pairs] -= mirror", "        half[:pairs, :pairs] += mirror",
            ("tests/test_block_property.py::test_flip_halves_match_dense_oracle",)),
+    Mutant("fold-swaps-mirror-signs", "src/trotterlab/errors.py",
+           "    if sign > 0:\n        half[:pairs, :pairs] += mirror",
+           "    if sign < 0:\n        half[:pairs, :pairs] += mirror",
+           ("tests/test_errors.py::test_sector_blocks_are_the_fold_of_the_dense_assembly",
+            "tests/test_block_property.py::test_flip_halves_match_dense_oracle")),
+    Mutant("plus-half-drops-fixed-point", "src/trotterlab/errors.py",
+           "(rows.size + (sign > 0)) // 2 if sign", "rows.size // 2 if sign",
+           ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
+            "tests/test_errors.py::test_sector_blocks_are_the_fold_of_the_dense_assembly",
+            "tests/test_block_property.py::test_flip_halves_match_dense_oracle")),
+    Mutant("run-scattered-out-of-term-order", "src/trotterlab/operators.py",
+           "for gamma, value in zip(gammas, values):",
+           "for gamma, value in zip(gammas[::-1], values[::-1]):",
+           ("tests/test_embedding_property.py::test_assemble_matches_kron_assemble",
+            "tests/test_errors.py::test_sector_blocks_are_the_fold_of_the_dense_assembly")),
     Mutant("fixed-point-coupling-without-sqrt2", "src/trotterlab/errors.py",
            "    half[pairs:, :pairs] *= math.sqrt(2)   # the fixed point's couplings, if any\n"
            "    half[:pairs, pairs:] *= math.sqrt(2)\n",
@@ -161,13 +176,13 @@ MUTANTS = (
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_errors.py::test_mirror_sectors_read_their_image")),
     Mutant("mirror-builds-its-own-spectrum", "src/trotterlab/errors.py",
-           'eigh(self._take("spectrum")) if self.image is None else self.image.spectrum',
-           'eigh(self._take("spectrum"))',
+           "        if self.image is not None:\n            return self.image.spectrum\n",
+           "",
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_errors.py::test_mirror_sectors_read_their_image")),
     Mutant("unvisited-sector-keeps-blocks", "src/trotterlab/errors.py",
-           "self._blocks[self.sign] if self.visited else self._blocks.pop(self.sign)",
-           "self._blocks[self.sign]",
+           'parts if self.visited and "part_spectra" not in vars(self) else None',
+           "parts",
            ("tests/test_errors.py::test_unvisited_sectors_keep_no_blocks",)),
     Mutant("every-spec-flip-invariant", "src/trotterlab/operators.py",
            "return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)",
