@@ -33,6 +33,13 @@ M_ff]] and the - half M_pp - M_pF (p the pairs, pF their images), exactly 0
 between, and each half folds from its own rows p (and f) against the states
 of the sector (Sandvik, AIP Conf. Proc. 1297 (2010), sec. 4).
 
+A sector's spectra are not one whole-matrix ``eigh``: ``block_eigh`` splits
+each matrix of at least ``BLOCK_EIGH_MIN`` states into the exact blocks of
+its nonzero pattern and diagonalises them one size at a time.  A group is a
+sum of commuting terms, so on a sector it falls apart into many small
+blocks (lr's Z group into single states), while H on an AKLT or MG half is
+one block and goes to ``eigh`` whole.
+
 The nested-commutator sums walk term tuples whose supports chain-overlap.
 A commutator lives on the union U of its supports, so the walk keeps it as
 a d^|U| x d^|U| block, stacks the blocks that share a union and reduces
@@ -67,6 +74,9 @@ LAB_COMPLEX_BLOCKS = 4
 # a run's allocations beyond its blocks (index arrays, BLAS and allocator
 # buffers): four times the 1.9 MiB peak RSS rise of the smallest sweeps
 LAB_FLOOR_BYTES = 8 * 2 ** 20
+# below this many states one eigh costs less than finding the blocks: block by
+# block, sector matrices of 9-50 states took 1.1-8x as long, groups of 64-126 0.2-0.7x
+BLOCK_EIGH_MIN = 64
 
 
 def sector_listing(spec: HamiltonianSpec) -> list[Sector]:
@@ -135,6 +145,62 @@ def _fold(block: np.ndarray, sign: int) -> np.ndarray:
     return half
 
 
+def block_eigh(matrix: np.ndarray):
+    """``eigh`` of the Hermitian ``matrix``, one exact block of its nonzero pattern at a time.
+
+    The result keeps ``eigh``'s contract: ascending eigenvalues and
+    orthonormal eigenvector columns in a dense n x n array.  The blocks are
+    the connected components of the exact nonzero pattern of the lower
+    triangle, all that ``eigh`` reads: each state takes the smallest label
+    among its pairs, then its label's label, until no label moves.  The
+    blocks of one size, each on its ascending states, go to ``eigh`` as one
+    stack, and a block's eigenvectors land on its states, in the columns
+    that rank its eigenvalues among all (ties in block order).  A matrix
+    that is one block, or of fewer than ``BLOCK_EIGH_MIN`` states, is
+    ``eigh`` of ``matrix`` itself.
+    """
+    n = len(matrix)
+    if n < BLOCK_EIGH_MIN:
+        return eigh(matrix)
+    rows = max(1, 2 ** 16 // n)   # a few rows at a time: nonzero on bool is fast, and small
+    i, j = np.divmod(np.concatenate([np.flatnonzero(matrix[r:r + rows] != 0) + r * n
+                                     for r in range(0, n, rows)]), n)
+    lower = i > j
+    i, j = i[lower], j[lower]
+    ends, starts = np.concatenate([i, j]), np.concatenate([j, i])   # each pair both ways
+    label = np.arange(n)
+    while True:
+        moved = label.copy()
+        np.minimum.at(moved, ends, label[starts])
+        moved = moved[moved]
+        if (moved == label).all():
+            break
+        label = moved
+    if not label.any():   # one block
+        return eigh(matrix)
+    # before the stacks: freeing them raises glibc's mmap threshold, and an n x n
+    # array made after them would sit on the heap, 1 MB higher in peak RSS on lr N=10
+    vectors = np.zeros_like(matrix)
+    sizes = np.bincount(label, minlength=n)   # a block's size at its smallest state
+    order = np.argsort(label, kind="stable")   # block by block, ascending within each
+    size_of = sizes[label[order]]
+    stacks = []
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        states = order[size_of == size].reshape(-1, size)
+        stacks.append((states, eigh(matrix[states[:, :, None], states[:, None, :]])))
+    values = np.concatenate([result.eigenvalues.ravel() for _, result in stacks])
+    ascending = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ascending] = np.arange(n)
+    start = 0
+    for states, result in stacks:
+        columns = rank[start:start + states.size].reshape(states.shape)
+        vectors[states[:, :, None], columns[:, None, :]] = result.eigenvectors
+        start += states.size
+    # the last stack's result, to return eigh's own result type
+    return result._replace(eigenvalues=values[ascending], eigenvectors=vectors)
+
+
 class Sector:
     """H and the groups on the basis states ``rows`` of one charge sector, or of its flip half.
 
@@ -143,10 +209,10 @@ class Sector:
     first ``size`` rows: the pairs, then F's fixed point for the + half.  It
     assembles those rows against every state of ``rows`` and folds them
     into its half, H and every group in one pass.  On first use a sector
-    takes the ``eigh`` of H (eigenvalues ascending) and of each group on
-    them, and ``transitions`` is the cache that ``apply_plan`` fills for it.
+    takes the ``block_eigh`` of H (eigenvalues ascending) and of each group
+    on them, and ``transitions`` is the cache that ``apply_plan`` fills for it.
     A ``visited`` sector keeps its folded groups from H's pass until their
-    ``eigh``; any other assembles again when asked for its groups.  A
+    spectra; any other assembles again when asked for its groups.  A
     mirror sector, one that F maps onto its ``image``, builds nothing: it
     has its image's spectra, and it lifts through F.
     """
@@ -185,14 +251,14 @@ class Sector:
             return self.image.spectrum
         hamiltonian, parts = self._assemble()
         self._parts = parts if self.visited and "part_spectra" not in vars(self) else None
-        return eigh(hamiltonian)
+        return block_eigh(hamiltonian)
 
     @cached_property
     def part_spectra(self) -> tuple:
         if self.image is not None:
             return self.image.part_spectra
         parts, self._parts = self._parts or self._assemble()[1], None
-        return tuple(eigh(part) for part in parts)
+        return tuple(block_eigh(part) for part in parts)
 
 
 def _column_counts(sectors: list[Sector], delta: float | None) -> list[int]:

@@ -5,7 +5,9 @@ spec is real (all built-in models), complex128 otherwise.  A spectrum is an
 ``np.linalg.eigh`` result, a pair of ``eigenvalues`` and orthonormal
 ``eigenvectors`` columns; ``ErrorLab`` keeps one per sector of
 ``conserved_charge``, each from ``assemble`` of that sector's rows against
-its charge sector's states, and a real Hamiltonian gets real eigenvectors.
+its charge sector's states, diagonalised block by block of its exact
+nonzero pattern (``errors.block_eigh``), and a real Hamiltonian gets real
+eigenvectors.
 Spectral norms come from the Hermitian eigendecomposition of A^dag A;
 propagators from the eigendecomposition of the (Hermitian) generator,
 reused across times.

@@ -15,16 +15,20 @@ lab folds the sectors that the flip maps to themselves into halves and
 skips mirror sectors.  A sixth family puts several terms on each support,
 one support gapped, so the walk's pairs within one group and across groups
 and its exact-zero pruning are checked for a whole list of bases at once.
+Last, the sector eigensolver ``block_eigh`` is checked against one
+``np.linalg.eigh`` on permuted block-diagonal matrices.
 Examples are derandomized so the suite stays deterministic.
 """
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import oracle_dense
 import trotterlab as tl
+from trotterlab.errors import BLOCK_EIGH_MIN, block_eigh
 from trotterlab.lattice import spin_casimirs
 from trotterlab.operators import flip_invariant, spin_projector_terms
 
@@ -299,3 +303,74 @@ def test_block_one_ulp_off_the_flip_does_not_qualify():
         assert lab.errors(plan, 0.3, deltas) == pytest.approx(
             oracle_dense.errors(lab, plan, 0.3, deltas), rel=0, abs=1e-12)
     check_low_column_projectors(lab, [0.2 * lab.max_energy])
+
+
+@st.composite
+def block_hermitian_matrices(draw):
+    """A Hermitian matrix of exact blocks under a random permutation of its states.
+
+    Blocks of 1-12 states, real or complex, some a multiple of the identity
+    or a copy of the block before (repeated eigenvalues); some off-diagonal
+    pairs are a value minus itself, exactly 0, which may split a block.
+    Single states with a few repeated values fill it up to at least
+    ``BLOCK_EIGH_MIN`` states, so that ``block_eigh`` looks for its blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "identity", "repeat")))
+        if kind == "repeat" and blocks:
+            blocks.append(blocks[-1])
+            continue
+        size = draw(st.integers(1, 12))
+        if kind == "identity":
+            blocks.append(rng.standard_normal() * np.eye(size))
+            continue
+        raw = rng.standard_normal((size, size))
+        if not real:
+            raw = raw + 1j * rng.standard_normal((size, size))
+        block = raw + raw.conj().T
+        cancel = np.triu(rng.random((size, size)) < 0.3, 1)
+        block[cancel] -= block[cancel]
+        block.T[cancel] -= block.T[cancel]
+        blocks.append(block)
+    fill = max(0, BLOCK_EIGH_MIN - sum(map(len, blocks))) + draw(st.integers(0, 8))
+    blocks += [np.array([[value]]) for value in rng.choice((-1.0, 0.0, 0.5, 2.0), fill)]
+    matrix = scipy.linalg.block_diag(*blocks).astype(np.float64 if real else np.complex128)
+    order = rng.permutation(len(matrix))
+    return matrix[np.ix_(order, order)]
+
+
+@PROPERTY_SETTINGS
+@given(matrix=block_hermitian_matrices(), upper=st.tuples(st.integers(0), st.integers(0)))
+def test_block_eigh_matches_eigh(matrix, upper):
+    n = len(matrix)
+    values, vectors = block_eigh(matrix)
+    scale = max(1.0, float(np.abs(matrix).max()))
+    assert vectors.shape == matrix.shape and vectors.dtype == matrix.dtype
+    assert np.all(np.diff(values) >= 0)
+    assert np.abs(values - np.linalg.eigvalsh(matrix)).max() <= 1e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-12
+    assert np.abs((vectors * values) @ vectors.conj().T - matrix).max() <= 1e-12 * scale
+    # an entry in the upper triangle alone is not read, as eigh does not read it
+    i, j = sorted((upper[0] % n, upper[1] % n))
+    if i < j and matrix[j, i] == 0:
+        touched = matrix.copy()
+        touched[i, j] = 1.0
+        for a, b in zip(block_eigh(touched), (values, vectors)):
+            assert np.array_equal(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(diagonal=st.lists(st.sampled_from((-1.5, 0.0, 0.25, 2.0)) | st.floats(-3, 3),
+                         min_size=BLOCK_EIGH_MIN, max_size=BLOCK_EIGH_MIN + 12),
+       complex_=st.booleans())
+def test_block_eigh_of_a_diagonal_is_its_sorted_diagonal(diagonal, complex_):
+    # each state is a block of one: its diagonal entry and e_i, in ascending
+    # order, ties by state, bit for bit
+    matrix = np.diag(np.array(diagonal, complex if complex_ else float))
+    values, vectors = block_eigh(matrix)
+    order = np.argsort(diagonal, kind="stable")
+    assert np.array_equal(values, np.sort(diagonal))
+    assert np.array_equal(vectors, np.eye(len(diagonal))[:, order])

@@ -24,7 +24,7 @@ from trotterlab.operators import spin_projector_terms
 def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
     sizes = []
     assembled = []
-    real_eigh, real_assemble = errors.eigh, errors.assemble
+    real_eigh, real_assemble = errors.block_eigh, errors.assemble
 
     def counting_eigh(matrix):
         sizes.append(matrix.shape[0])
@@ -34,7 +34,7 @@ def test_lab_runs_one_eigh_per_charge_sector(monkeypatch):
         assembled.append(rows.size)
         return real_assemble(spec, rows, columns)
 
-    monkeypatch.setattr(errors, "eigh", counting_eigh)
+    monkeypatch.setattr(errors, "block_eigh", counting_eigh)
     monkeypatch.setattr(errors, "assemble", counting_assemble)
     lab = tl.ErrorLab(tl.build_aklt(4))
     assert sizes == assembled == []   # a sector builds its spectra on first use
@@ -192,8 +192,8 @@ def test_errors_skip_mirror_sectors(n, visited):
 ], ids=["doubled-mg5", "lr7"])
 def test_mirror_sectors_read_their_image(spec, monkeypatch):
     assembled, sizes = [], []
-    real_eigh, real_assemble = errors.eigh, errors.assemble
-    monkeypatch.setattr(errors, "eigh", lambda m: (sizes.append(len(m)), real_eigh(m))[1])
+    real_eigh, real_assemble = errors.block_eigh, errors.assemble
+    monkeypatch.setattr(errors, "block_eigh", lambda m: (sizes.append(len(m)), real_eigh(m))[1])
     monkeypatch.setattr(errors, "assemble", lambda which, rows, columns=None: (
         assembled.append((rows, columns)), real_assemble(which, rows, columns))[1])
     lab = tl.ErrorLab(spec)
@@ -254,12 +254,13 @@ def complex_flip_spec():
     (tl.build_long_range_heisenberg(6, 2.0), 4), (complex_flip_spec(), 2),
 ], ids=["aklt4", "aklt5", "mg6", "mg7", "lr6", "complex-flip"])
 def test_sector_blocks_are_the_fold_of_the_dense_assembly(spec, halves, monkeypatch):
-    # the matrices that reach eigh, from each sector's own rows against its
+    # the matrices that reach block_eigh, from each sector's own rows against its
     # charge sector, equal bit for bit the reference fold of the whole dense
     # sector block: the same entries, added in the same order
     taken = []
-    real_eigh = errors.eigh
-    monkeypatch.setattr(errors, "eigh", lambda m: (taken.append(m.copy()), real_eigh(m))[1])
+    real_eigh = errors.block_eigh
+    monkeypatch.setattr(errors, "block_eigh",
+                        lambda m: (taken.append(m.copy()), real_eigh(m))[1])
     lab = tl.ErrorLab(spec)
     built = [s for s in lab.sectors if s.image is None]
     assert sum(s.sign != 0 for s in built) == halves
@@ -270,6 +271,31 @@ def test_sector_blocks_are_the_fold_of_the_dense_assembly(spec, halves, monkeypa
                 for s in built for matrix in (h, *parts)]
     assert len(taken) == len(expected)
     assert all(a.dtype == spec.dtype and np.array_equal(a, b) for a, b in zip(taken, expected))
+
+
+def test_block_eigh_stacks_blocks_of_one_size(monkeypatch):
+    # blocks {0, 3}, {2, 4, 5}, {6, 7} and every other state alone: the two
+    # pairs go to eigh as one stack, each on its ascending states
+    n = errors.BLOCK_EIGH_MIN
+    matrix = np.diag(np.arange(float(n)))
+    for a, b in ((3, 0), (4, 2), (5, 4), (7, 6)):
+        matrix[a, b] = matrix[b, a] = 0.5
+    taken = []
+    real_eigh = errors.eigh
+    monkeypatch.setattr(errors, "eigh", lambda m: (taken.append(m), real_eigh(m))[1])
+    values, vectors = errors.block_eigh(matrix)
+    assert [m.shape for m in taken] == [(n - 7, 1, 1), (2, 2, 2), (1, 3, 3)]
+    assert np.array_equal(taken[1], [matrix[np.ix_(s, s)] for s in ([0, 3], [6, 7])])
+    assert np.array_equal(taken[2][0], matrix[np.ix_([2, 4, 5], [2, 4, 5])])
+    assert np.abs(values - np.linalg.eigvalsh(matrix)).max() <= 1e-13
+    assert np.abs((vectors * values) @ vectors.T - matrix).max() <= 1e-13
+    # a matrix of one block, or of fewer states, goes to eigh as itself
+    for k in range(n - 1):
+        matrix[k + 1, k] = matrix[k, k + 1] = 1.0
+    for whole in (matrix, np.diag(np.arange(n - 1.0))):
+        taken.clear()
+        assert np.array_equal(errors.block_eigh(whole).eigenvalues, real_eigh(whole).eigenvalues)
+        assert len(taken) == 1 and taken[0] is whole
 
 
 def test_errors_skip_sectors_without_columns():
@@ -618,10 +644,31 @@ def test_lab_bytes_covers_measured_peak():
     # the estimate stays 5% above it.  VmHWM is the ru_maxrss of the process's
     # own address space: ru_maxrss itself starts at the parent's peak in a child
     # started from a large process.
+    for config in RSS_CONFIGS:
+        rise, estimate = map(int, fresh_python(RSS_PROBE, config).split())
+        assert 0 < 1.05 * rise <= estimate, config
+
+
+def fresh_python(code: str, arg: str) -> str:
+    """Stdout of ``code`` run with ``arg`` in a new interpreter that imports this trotterlab."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(tl.__file__)), os.environ.get("PYTHONPATH", "")]))
-    for config in RSS_CONFIGS:
-        out = subprocess.run([sys.executable, "-c", RSS_PROBE, config], capture_output=True,
-                             text=True, check=True, env=env, timeout=120).stdout
-        rise, estimate = map(int, out.split())
-        assert 0 < 1.05 * rise <= estimate, config
+    return subprocess.run([sys.executable, "-c", code, arg], capture_output=True,
+                          text=True, check=True, env=env, timeout=120).stdout
+
+
+MODULE_PROBE = r"""
+import sys
+from trotterlab import cli, verify
+cli.run_sweep(cli.parse_sweep_config(sys.argv[1]))
+verify.run_verify(0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_and_verify_leave_numpy_ma_unimported():
+    # numpy.ma (which np.unique imports, among others) adds about 1.3 MB to the
+    # peak RSS of every run; this session has imported it, hence a new process.
+    # lr N=10 splits its sector matrices into many blocks, verify covers every model
+    config = "model = lr_heisenberg\nn = 10\np = 2\nt = 0.1\ndelta = inf"
+    assert fresh_python(MODULE_PROBE, config).split() == ["False"]

@@ -184,6 +184,21 @@ MUTANTS = (
            'parts if self.visited and "part_spectra" not in vars(self) else None',
            "parts",
            ("tests/test_errors.py::test_unvisited_sectors_keep_no_blocks",)),
+    Mutant("components-one-direction", "src/trotterlab/errors.py",
+           "np.concatenate([i, j]), np.concatenate([j, i])", "i, j",
+           ("tests/test_block_property.py::test_block_eigh_matches_eigh",)),
+    Mutant("components-read-upper-triangle", "src/trotterlab/errors.py",
+           "lower = i > j", "lower = i < j",
+           ("tests/test_block_property.py::test_block_eigh_matches_eigh",)),
+    Mutant("block-eigenvalues-unsorted", "src/trotterlab/errors.py",
+           "eigenvalues=values[ascending]", "eigenvalues=values",
+           ("tests/test_block_property.py::test_block_eigh_matches_eigh",
+            "tests/test_errors.py::test_block_eigh_stacks_blocks_of_one_size")),
+    Mutant("singleton-block-loses-diagonal", "src/trotterlab/errors.py",
+           "eigh(matrix[states[:, :, None], states[:, None, :]])",
+           "eigh(matrix[states[:, :, None], states[:, None, :]] * (size > 1))",
+           ("tests/test_block_property.py::test_block_eigh_of_a_diagonal_is_its_sorted_diagonal",
+            "tests/test_block_property.py::test_block_eigh_matches_eigh")),
     Mutant("every-spec-flip-invariant", "src/trotterlab/operators.py",
            "return all(np.array_equal(term.block, term.block[::-1, ::-1]) for term in spec.terms)",
            "return True",
