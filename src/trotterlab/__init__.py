@@ -5,18 +5,17 @@ runs Suzuki product formulas of order 1 to 6 against the exact propagator,
 measures the error restricted to low-energy subspaces, and evaluates the
 matching analytic bounds so the two can be compared on the same grid.
 """
-from .bounds import (BoundInputs, BoundReport, CERTIFIED_MAX_STEPS,
-                     FORMULA_COMMUTATOR, FORMULA_CONST_GAMMA, FORMULA_COUNT_CONST,
-                     FORMULA_COUNT_GENERAL, FORMULA_GENERIC,
-                     FORMULA_WEAKLY_CORRELATED, trotter_number_certified,
-                     const_gamma_error_bound, generic_error_bound,
+from .bounds import (BoundInputs, BoundReport, FORMULA_COMMUTATOR, FORMULA_CONST_GAMMA,
+                     FORMULA_COUNT_CONST, FORMULA_COUNT_GENERAL, FORMULA_GENERIC,
+                     FORMULA_WEAKLY_CORRELATED, const_gamma_error_bound,
+                     excitation_tail_bound, generic_error_bound,
                      projected_commutator_bound, trotter_count_formula,
                      unrestricted_commutator_bound, weakly_correlated_number)
 from .embedding import embed_block
-from .errors import (ErrorLab, excitation_tail_bound, low_energy_expectation_sum,
-                     nested_commutator_sum)
-from .formulas import (FormulaPlan, MAX_ORDER, OrderFit, apply_plan, cycle_count,
-                       order_check, plan_table, suzuki_plan, validate_plan)
+from .errors import (CERTIFIED_MAX_STEPS, ErrorLab, OrderFit, low_energy_expectation_sum,
+                     nested_commutator_sum, order_check, trotter_number_certified)
+from .formulas import (FormulaPlan, MAX_ORDER, apply_plan, cycle_count, plan_table,
+                       suzuki_plan, validate_plan)
 from .lattice import (HamiltonianSpec, LatticeSpec, LocalTerm,
                       ValidationReport, build_aklt, build_long_range_heisenberg,
                       build_mg, extensiveness, greedy_partition,

@@ -1,4 +1,4 @@
-"""Analytic error bounds, Trotter-number formulas and a certified search.
+"""The paper's closed forms: error bounds, commutator and tail caps, Trotter-number formulas.
 
 All logarithms are natural.  Shared notation: N sites, locality k (largest
 support), extensiveness g (largest per-site sum of term norms), Gamma
@@ -21,17 +21,16 @@ Two families bound the projected error ||(exp(-iHt) - T_p(t)) P_delta||:
 
 The Trotter-number formulas (ids ``prop_s5_const`` / ``prop_s5_general``)
 give the step count sufficient for accuracy eps on the energy-delta
-subspace, up to an undetermined leading constant which is fixed to 1 here;
-``trotter_number_certified`` instead searches for the smallest step count
-whose measured per-step error passes, and verifies the result directly.
+subspace, up to an undetermined leading constant which is fixed to 1 here.
+Each function here is a closed form of scalar inputs; what is measured on
+a lab, the certified step count included, is in ``errors``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .errors import ErrorLab
-from .formulas import FormulaPlan, cycle_count
+from .formulas import cycle_count
 
 FORMULA_CONST_GAMMA = "cor_s4"
 FORMULA_GENERIC = "thm_s3"
@@ -39,8 +38,6 @@ FORMULA_COMMUTATOR = "thm_s1"
 FORMULA_COUNT_CONST = "prop_s5_const"
 FORMULA_COUNT_GENERAL = "prop_s5_general"
 FORMULA_WEAKLY_CORRELATED = "weakly_corr"
-
-CERTIFIED_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -155,6 +152,16 @@ def unrestricted_commutator_bound(depth: int, locality: int, extensiveness: floa
                                       num_sites * extensiveness)
 
 
+def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
+                          extensiveness_g: float, delta: float, delta_prime: float) -> float:
+    """Analytic cap on the leakage norm of a local term:
+
+    ||O|| * exp(-(delta_prime - delta - 3 g |X|) / (4 k g)).
+    """
+    gap = delta_prime - delta - 3.0 * extensiveness_g * support_size
+    return op_norm * math.exp(-gap / (4.0 * locality * extensiveness_g))
+
+
 def _count_value(extensiveness: float, time: float, delta: float, eps: float,
                  order_p: int, num_sites: int, regime: str) -> int:
     if eps >= 2:
@@ -178,45 +185,6 @@ def trotter_count_formula(inputs: BoundInputs, regime: str = "const_gamma") -> i
         raise ValueError(f"unknown regime {regime!r}")
     return _count_value(inputs.extensiveness, inputs.time, inputs.delta,
                         inputs.eps_total, inputs.order_p, inputs.num_sites, regime)
-
-
-def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
-                            delta: float, eps_total: float) -> int:
-    """Smallest step count r with r * error(t/r) <= eps on the delta subspace.
-
-    Doubling followed by bisection on the per-step criterion; the returned r
-    is then verified a posteriori against the directly computed stepped
-    error.  Aborts with a diagnostic if r would exceed ``CERTIFIED_MAX_STEPS``.
-    """
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
-    if eps_total >= 2:
-        return 1
-
-    def passes(steps: int) -> bool:
-        return steps * lab.projected_error(plan, t / steps, delta) <= eps_total
-
-    steps = 1
-    while not passes(steps):
-        steps *= 2
-        if steps > CERTIFIED_MAX_STEPS:
-            raise RuntimeError(
-                f"no passing step count up to {CERTIFIED_MAX_STEPS} "
-                f"(t={t}, delta={delta}, eps={eps_total})")
-    if steps > 1:
-        low, high = steps // 2 + 1, steps
-        while low < high:
-            mid = (low + high) // 2
-            if passes(mid):
-                high = mid
-            else:
-                low = mid + 1
-        steps = high
-    direct = lab.stepped_error(plan, t, steps, delta)
-    if direct > eps_total + 1e-9:
-        raise RuntimeError(
-            f"a-posteriori check failed: stepped error {direct} exceeds {eps_total}")
-    return steps
 
 
 def weakly_correlated_number(inputs: BoundInputs) -> tuple[float, int]:

@@ -1,4 +1,4 @@
-"""Exact Trotter errors, optionally restricted to low-energy subspaces.
+"""Quantities measured on a lab; the closed-form caps they meet are in ``bounds``.
 
 The central quantity is the spectral norm of (exp(-iHt) - T_p(t)) P, where
 P projects onto eigenstates with energy at most delta.  It depends only on
@@ -55,6 +55,7 @@ sums are one walk.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,12 +63,14 @@ from numpy.linalg import eigh
 
 from .embedding import lift_block
 from .formulas import FormulaPlan, apply_plan
-from .lattice import COMPLEX_BYTES, HamiltonianSpec, extensiveness, require_memory
+from .lattice import COMPLEX_BYTES, HamiltonianSpec, require_memory
 from .operators import (_matrix_norm, apply_matrix, assemble, conserved_charge, flip_invariant,
                         low_energy_mask, spin_projector_terms)
 
 SUBSPACE_TOL = 1e-10
 MAX_COMMUTATOR_DEPTH = 3
+CERTIFIED_MAX_STEPS = 10 ** 6
+EXACT_ERROR_FLOOR = 1e-13
 # complex blocks of the largest visited sector in a full error's working set
 # (the difference, the Trotter side, the Gram matrix and its eigvalsh copy)
 LAB_COMPLEX_BLOCKS = 4
@@ -211,8 +214,8 @@ class Sector:
     into its half, H and every group in one pass.  On first use a sector
     takes the ``block_eigh`` of H (eigenvalues ascending) and of each group
     on them, and ``transitions`` is the cache that ``apply_plan`` fills for it.
-    A ``visited`` sector keeps its folded groups from H's pass until their
-    spectra; any other assembles again when asked for its groups.  A
+    H's pass always comes first: a ``visited`` sector keeps its folded groups
+    from it until their spectra, any other assembles again for its groups.  A
     mirror sector, one that F maps onto its ``image``, builds nothing: it
     has its image's spectra, and it lifts through F.
     """
@@ -250,13 +253,14 @@ class Sector:
         if self.image is not None:
             return self.image.spectrum
         hamiltonian, parts = self._assemble()
-        self._parts = parts if self.visited and "part_spectra" not in vars(self) else None
+        self._parts = parts if self.visited else None
         return block_eigh(hamiltonian)
 
     @cached_property
     def part_spectra(self) -> tuple:
         if self.image is not None:
             return self.image.part_spectra
+        self.spectrum   # H's pass first, so a visited sector assembles once
         parts, self._parts = self._parts or self._assemble()[1], None
         return tuple(block_eigh(part) for part in parts)
 
@@ -366,14 +370,76 @@ class ErrorLab:
         return psi / np.linalg.norm(psi)
 
 
-def excitation_tail_bound(op_norm: float, support_size: int, locality: int,
-                          extensiveness_g: float, delta: float, delta_prime: float) -> float:
-    """Analytic cap on the leakage norm of a local term:
+def trotter_number_certified(lab: ErrorLab, plan: FormulaPlan, t: float,
+                            delta: float, eps_total: float) -> int:
+    """Smallest step count r with r * error(t/r) <= eps on the delta subspace.
 
-    ||O|| * exp(-(delta_prime - delta - 3 g |X|) / (4 k g)).
+    Doubling followed by bisection on the per-step criterion; the returned r
+    is then verified a posteriori against the directly computed stepped
+    error.  Aborts with a diagnostic if r would exceed ``CERTIFIED_MAX_STEPS``.
     """
-    gap = delta_prime - delta - 3.0 * extensiveness_g * support_size
-    return op_norm * math.exp(-gap / (4.0 * locality * extensiveness_g))
+    if eps_total <= 0:
+        raise ValueError("eps_total must be positive")
+    if eps_total >= 2:
+        return 1
+
+    def passes(steps: int) -> bool:
+        return steps * lab.projected_error(plan, t / steps, delta) <= eps_total
+
+    steps = 1
+    while not passes(steps):
+        steps *= 2
+        if steps > CERTIFIED_MAX_STEPS:
+            raise RuntimeError(
+                f"no passing step count up to {CERTIFIED_MAX_STEPS} "
+                f"(t={t}, delta={delta}, eps={eps_total})")
+    if steps > 1:
+        low, high = steps // 2 + 1, steps
+        while low < high:
+            mid = (low + high) // 2
+            if passes(mid):
+                high = mid
+            else:
+                low = mid + 1
+        steps = high
+    direct = lab.stepped_error(plan, t, steps, delta)
+    if direct > eps_total + 1e-9:
+        raise RuntimeError(
+            f"a-posteriori check failed: stepped error {direct} exceeds {eps_total}")
+    return steps
+
+
+@dataclass(frozen=True)
+class OrderFit:
+    """Log-log slope of error against time; ``exact`` when below the noise floor."""
+
+    slope: float | None
+    residual: float | None
+    exact: bool
+    errors: tuple[float, ...]
+
+
+def order_check(plan: FormulaPlan, lab: ErrorLab,
+                t_grid: list[float] | tuple[float, ...]) -> OrderFit:
+    """Fit the error-vs-time slope; a plan of order p should give p + 1.
+
+    Errors below ``EXACT_ERROR_FLOOR`` at every grid point are reported as
+    exact (commuting partitions) instead of fitted.
+    """
+    t_grid = [float(t) for t in t_grid]
+    if len(t_grid) < 4:
+        raise ValueError("need at least 4 grid times")
+    if any(t <= 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("grid times must be positive and strictly increasing")
+    errors = [lab.full_error(plan, t) for t in t_grid]
+    if max(errors) <= EXACT_ERROR_FLOOR:
+        return OrderFit(None, None, True, tuple(errors))
+    log_t = np.log(t_grid)
+    log_e = np.log(errors)
+    slope, intercept = np.polyfit(log_t, log_e, 1)
+    fitted = slope * log_t + intercept
+    residual = float(np.sqrt(np.mean((log_e - fitted) ** 2)))
+    return OrderFit(float(slope), residual, False, tuple(errors))
 
 
 def _commutators(groups: dict, local_dim: int, union: tuple[int, ...], stack: np.ndarray,
@@ -493,12 +559,12 @@ def nested_commutator_sum(spec: HamiltonianSpec, depth: int,
 
 
 def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
-                               delta: float) -> tuple[float, float]:
+                               delta: float) -> float:
     """Summed absolute expectations of nested commutators in a low-energy state.
 
-    Returns (value, bound) with bound = depth! * (2kg)**depth * delta; psi
-    must be a unit vector supported on energies at most delta.  Depth 0 sums
-    the bare term expectations.
+    psi must be a unit vector supported on energies at most delta; the sum
+    is capped by ``bounds.projected_commutator_bound(depth, k, g, delta)``.
+    Depth 0 sums the bare term expectations.
     """
     if not 0 <= depth <= MAX_COMMUTATOR_DEPTH:
         raise ValueError(f"depth must be 0..{MAX_COMMUTATOR_DEPTH}, got {depth}")
@@ -513,7 +579,4 @@ def low_energy_expectation_sum(lab: ErrorLab, depth: int, psi: np.ndarray,
     if np.linalg.norm(residual) > SUBSPACE_TOL:
         raise ValueError(f"state leaks out of the energy-{delta} subspace")
     # |psi^dag C psi| is the norm of the 1 x 1 block of V = psi
-    total = _walk_sum(spec, depth, [psi[:, None]])[0]
-    g = extensiveness(spec)
-    bound = math.factorial(depth) * (2.0 * spec.locality_k * g) ** depth * delta
-    return total, bound
+    return _walk_sum(spec, depth, [psi[:, None]])[0]

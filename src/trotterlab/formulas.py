@@ -1,4 +1,4 @@
-"""Suzuki product-formula plans and their application.
+"""Suzuki product-formula plans, their application and their audit table.
 
 A plan is a flat list of stages (group label, coefficient).  Stages are
 applied rightmost-first: the product
@@ -28,18 +28,13 @@ import io
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .operators import apply_matrix
 
-if TYPE_CHECKING:
-    from .errors import ErrorLab
-
 MAX_ORDER = 6
 COEFF_SUM_TOL = 1e-12
-EXACT_ERROR_FLOOR = 1e-13
 
 
 def cycle_count(order_p: int) -> int:
@@ -141,39 +136,6 @@ def apply_plan(plan: FormulaPlan, parts_spectra, t: float, block: np.ndarray,
             current = gamma
         block = block * np.exp(-1j * alpha * t * parts_spectra[gamma - 1].eigenvalues)[:, None]
     return apply_matrix(parts_spectra[current - 1].eigenvectors, block)
-
-
-@dataclass(frozen=True)
-class OrderFit:
-    """Log-log slope of error against time; ``exact`` when below the noise floor."""
-
-    slope: float | None
-    residual: float | None
-    exact: bool
-    errors: tuple[float, ...]
-
-
-def order_check(plan: FormulaPlan, lab: ErrorLab,
-                t_grid: list[float] | tuple[float, ...]) -> OrderFit:
-    """Fit the error-vs-time slope; a plan of order p should give p + 1.
-
-    Errors below ``EXACT_ERROR_FLOOR`` at every grid point are reported as
-    exact (commuting partitions) instead of fitted.
-    """
-    t_grid = [float(t) for t in t_grid]
-    if len(t_grid) < 4:
-        raise ValueError("need at least 4 grid times")
-    if any(t <= 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("grid times must be positive and strictly increasing")
-    errors = [lab.full_error(plan, t) for t in t_grid]
-    if max(errors) <= EXACT_ERROR_FLOOR:
-        return OrderFit(None, None, True, tuple(errors))
-    log_t = np.log(t_grid)
-    log_e = np.log(errors)
-    slope, intercept = np.polyfit(log_t, log_e, 1)
-    fitted = slope * log_t + intercept
-    residual = float(np.sqrt(np.mean((log_e - fitted) ** 2)))
-    return OrderFit(float(slope), residual, False, tuple(errors))
 
 
 def plan_table(plan: FormulaPlan) -> str:

@@ -232,7 +232,7 @@ def test_expectation_sum_matches_dense_oracle(spec, depth, fraction, seed):
     ground = min(float(sector.spectrum.eigenvalues[0]) for sector in lab.sectors)
     delta = max(fraction * lab.max_energy, ground)
     psi = lab.random_subspace_state(delta, np.random.default_rng(seed))
-    value, _ = tl.low_energy_expectation_sum(lab, depth, psi, delta)
+    value = tl.low_energy_expectation_sum(lab, depth, psi, delta)
     dense = oracle_dense.expectation_sum(spec, depth, psi)
     assert value == pytest.approx(dense, rel=1e-12, abs=1e-13)
 

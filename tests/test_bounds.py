@@ -13,7 +13,7 @@ import pytest
 
 import oracle_dense
 import trotterlab as tl
-from trotterlab import bounds
+from trotterlab import errors
 
 
 def make_inputs(**overrides) -> tl.BoundInputs:
@@ -231,7 +231,7 @@ def test_certified_minimal_and_directly_verified(aklt4):
 
 def test_certified_aborts_past_step_cap(mg4, monkeypatch):
     plan = tl.suzuki_plan(1, 2)
-    monkeypatch.setattr(bounds, "CERTIFIED_MAX_STEPS", 4)
+    monkeypatch.setattr(errors, "CERTIFIED_MAX_STEPS", 4)
     with pytest.raises(RuntimeError, match="no passing step count up to 4 "):
         tl.trotter_number_certified(mg4, plan, 1.0, 2.0, 1e-9)
 

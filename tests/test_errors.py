@@ -232,6 +232,41 @@ def test_unvisited_sectors_keep_no_blocks():
     assert all(s._parts is None for s in lab.sectors)
 
 
+def test_visited_half_asked_for_its_groups_first_assembles_once(monkeypatch):
+    # H's pass runs first, so its folded groups are the ones the group spectra take
+    assembled = []
+    real_assemble = errors.assemble
+    monkeypatch.setattr(errors, "assemble", lambda which, rows, columns=None: (
+        assembled.append(rows.size), real_assemble(which, rows, columns))[1])
+    lab = tl.ErrorLab(tl.build_mg(6))
+    visited = [s for s in lab.sectors if s.visited]
+    assert [(s.size, s.sign) for s in visited] == [(10, 1), (10, -1)]
+    for sector in visited:
+        sector.part_spectra, sector.spectrum
+        assert sector._parts is None
+    assert assembled == [10, 10]
+    plan = tl.suzuki_plan(2, lab.spec.gamma_count)
+    assert lab.full_error(plan, 0.3) == tl.ErrorLab(lab.spec).full_error(plan, 0.3)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_long_range_projected_commutator_sums_below_their_caps(n):
+    # lr's ground energy is far above 0 (3.94 at N=5), so the cutoffs sit above it
+    lab = tl.ErrorLab(tl.build_long_range_heisenberg(n, 2.0))
+    spec = lab.spec
+    g = tl.extensiveness(spec)
+    ground = min(float(s.spectrum.eigenvalues[0]) for s in lab.sectors)
+    deltas = [ground + 0.5, ground + 1.0, ground + 2.0]
+    bases = [lab.low_column_basis(delta) for delta in deltas]
+    assert all(basis.shape[1] >= 1 for basis in bases)
+    for depth in (1, 2):
+        sums = tl.nested_commutator_sum(spec, depth, bases)
+        caps = [tl.projected_commutator_bound(depth, spec.locality_k, g, delta)
+                for delta in deltas]
+        assert all(value < cap for value, cap in zip(sums, caps))
+        assert max(sums) > 0.0
+
+
 def complex_flip_spec():
     """AKLT N=4 plus a complex qutrit pair term that conserves the digit sum and
     equals its index reversal exactly, so the middle sector folds into halves."""
@@ -472,8 +507,10 @@ def test_commutator_sums_below_analytic_caps(aklt4, mg4):
 
 def test_expectation_sum_ground_state(aklt4):
     ground = oracle_dense.dense_spectra(aklt4.spec)[0].eigenvectors[:, 0]
-    value, bound = tl.low_energy_expectation_sum(aklt4, 1, ground, 0.0)
-    assert bound == 0.0
+    value = tl.low_energy_expectation_sum(aklt4, 1, ground, 0.0)
+    assert type(value) is float
+    assert tl.projected_commutator_bound(1, aklt4.spec.locality_k,
+                                         tl.extensiveness(aklt4.spec), 0.0) == 0.0
     assert value <= 1e-9
 
 
@@ -482,7 +519,8 @@ def test_expectation_sum_random_low_state(aklt4):
     k, g = aklt4.spec.locality_k, tl.extensiveness(aklt4.spec)
     for depth in (0, 1, 2):
         psi = aklt4.random_subspace_state(1.0, rng)
-        value, bound = tl.low_energy_expectation_sum(aklt4, depth, psi, 1.0)
+        value = tl.low_energy_expectation_sum(aklt4, depth, psi, 1.0)
+        bound = tl.projected_commutator_bound(depth, k, g, 1.0)
         assert bound == pytest.approx(math.factorial(depth) * (2 * k * g) ** depth, rel=1e-12)
         assert value <= bound + 1e-9
 
@@ -491,9 +529,12 @@ def test_expectation_sum_depth_one_frozen_bound(aklt4):
     # k = 2, g = 2, delta = 1 -> 1! * (2*2*2)^1 * 1 = 8
     rng = np.random.default_rng(4)
     psi = aklt4.random_subspace_state(1.0, rng)
-    _, bound = tl.low_energy_expectation_sum(aklt4, 1, psi, 1.0)
+    value = tl.low_energy_expectation_sum(aklt4, 1, psi, 1.0)
+    bound = tl.projected_commutator_bound(1, aklt4.spec.locality_k,
+                                          tl.extensiveness(aklt4.spec), 1.0)
     # g carries ~1e-15 eigensolver noise, so the frozen value is approximate
     assert bound == pytest.approx(8.0, rel=1e-12)
+    assert value <= bound
 
 
 def test_expectation_sum_rejects_leaky_state(aklt4):

@@ -10,7 +10,8 @@ import scipy.linalg
 
 import oracle_dense
 import trotterlab as tl
-from trotterlab.formulas import EXACT_ERROR_FLOOR, FormulaPlan
+from trotterlab.errors import EXACT_ERROR_FLOOR
+from trotterlab.formulas import FormulaPlan
 from trotterlab.lattice import LatticeSpec, LocalTerm
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)

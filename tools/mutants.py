@@ -181,9 +181,11 @@ MUTANTS = (
            ("tests/test_errors.py::test_lab_runs_one_eigh_per_charge_sector",
             "tests/test_errors.py::test_mirror_sectors_read_their_image")),
     Mutant("unvisited-sector-keeps-blocks", "src/trotterlab/errors.py",
-           'parts if self.visited and "part_spectra" not in vars(self) else None',
-           "parts",
+           "parts if self.visited else None", "parts",
            ("tests/test_errors.py::test_unvisited_sectors_keep_no_blocks",)),
+    Mutant("groups-before-h-pass", "src/trotterlab/errors.py",
+           "        self.spectrum   # H's pass first, so a visited sector assembles once\n", "",
+           ("tests/test_errors.py::test_visited_half_asked_for_its_groups_first_assembles_once",)),
     Mutant("components-one-direction", "src/trotterlab/errors.py",
            "np.concatenate([i, j]), np.concatenate([j, i])", "i, j",
            ("tests/test_block_property.py::test_block_eigh_matches_eigh",)),
@@ -219,6 +221,18 @@ MUTANTS = (
            "    rows = sorted((row for n in config.n_list for row in "
            "_task_rows(config, n, _admit(replace(config, n_list=(n,)))[n])),\n",
            ("tests/test_cli.py::test_sweep_rejects_before_any_lab",)),
+    Mutant("commutator-cap-without-factorial", "src/trotterlab/bounds.py",
+           "return math.factorial(depth) * (2.0 * locality", "return (2.0 * locality",
+           ("tests/test_bounds.py::test_commutator_cap_frozen_value",
+            "tests/test_errors.py::test_expectation_sum_random_low_state")),
+    Mutant("tail-bound-exponent-sign-flipped", "src/trotterlab/bounds.py",
+           "math.exp(-gap / (4.0", "math.exp(gap / (4.0",
+           ("tests/test_errors.py::test_excitation_tail_bound_formula",
+            "tests/test_errors.py::test_leakage_below_tail_bound")),
+    Mutant("certified-search-one-step-more", "src/trotterlab/errors.py",
+           "exceeds {eps_total}\")\n    return steps\n",
+           "exceeds {eps_total}\")\n    return steps + 1\n",
+           ("tests/test_bounds.py::test_certified_minimal_and_directly_verified",)),
     Mutant("sweep-keeps-every-lab", "src/trotterlab/cli.py",
            "_task_rows(config, n, labs.pop(n))", "_task_rows(config, n, labs[n])",
            ("tests/test_cli.py::test_sweep_drops_each_lab_once_its_rows_are_done",)),
